@@ -20,22 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import _prime_factors
 from .cycleset import CycleSet, assert_valid
 from .errors import CapExceeded, InconsistentAddition, InvariantViolation, SizeTooLarge
 from .perms import inverse
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -98,19 +86,15 @@ class PermBrace:
                 "additive generators do not span the permutation group"
             )
         self._neg_gen = {}
-        self._gen_add_order = {}
         for x in range(self.n_points):
             g = int(self.gidx[x])
             if g in self._neg_gen:
                 continue
-            prev, cur, steps = self.zero, g, 1
+            prev, cur = self.zero, g
             while cur != self.zero:
                 prev = cur
                 cur = self.add_gen(cur, x)
-                steps += 1
-            # prev + g_x = 0, and the loop ran `steps - 1` additions past g_x
-            self._neg_gen[g] = prev
-            self._gen_add_order[g] = steps
+            self._neg_gen[g] = prev  # prev + g_x = 0
 
     # -- low level lookups -------------------------------------------------
 
@@ -254,13 +238,6 @@ class PermBrace:
             )
         return out
 
-    def neg_row(self) -> np.ndarray:
-        """out[j] = -j for every j."""
-        out = np.empty(self.order, dtype=np.int64)
-        for j in range(self.order):
-            out[j] = self.neg(j)
-        return out
-
     # -- distinguished subsets -------------------------------------------------
 
     def socle(self) -> BraceSubset:
@@ -310,32 +287,26 @@ class PermBrace:
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
-    def additive_span(self, indices) -> tuple[int, ...]:
-        """Additive subgroup generated by the given elements."""
+    def _span(self, indices, op) -> tuple[int, ...]:
+        """Closure of {zero} under cur -> op(cur, g) for the given elements g."""
         seen = {self.zero}
         frontier = [self.zero]
         gens = [int(i) for i in indices]
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = self.add(cur, g)
+                nxt = op(cur, g)
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
         return tuple(sorted(seen))
 
+    def additive_span(self, indices) -> tuple[int, ...]:
+        """Additive subgroup generated by the given elements."""
+        return self._span(indices, self.add)
+
     def circ_span(self, indices) -> tuple[int, ...]:
-        seen = {self.zero}
-        frontier = [self.zero]
-        gens = [int(i) for i in indices]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.circ(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(seen))
+        return self._span(indices, self.circ)
 
     def _circ_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
         if S.size > 2048:

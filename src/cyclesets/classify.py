@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from math import isqrt
 
-import numpy as np
-
 from .cycleset import (
     CycleSet,
+    _is_morphism,
     assert_valid,
     is_indecomposable,
     multipermutation_level,
 )
-from .counting import count_formula, is_prime
+from .counting import _irr_orbit_minima, _mpl2_orbit_minima, count_formula, is_prime
 from .errors import BoundExceeded, NoMatch, NotIndecomposable, NotSizePSquared
 from .families import (
     CyclicParams,
@@ -179,11 +178,6 @@ def _search(ta, tb, ca, cb, find_all: bool):
     return found
 
 
-def _is_morphism(ta, tb, f) -> bool:
-    n = len(ta)
-    return all(f[ta[x][y]] == tb[f[x]][f[y]] for x in range(n) for y in range(n))
-
-
 def iso_cycle_sets(a: CycleSet, b: CycleSet) -> Perm | None:
     """A point bijection carrying a's table to b's, or None."""
     if a.n != b.n:
@@ -240,45 +234,19 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
 
 
 def _enumerate_mpl2(p: int) -> list[Mpl2Params]:
-    width = p  # f(1)..f(p-1) then s
-    rows = np.empty((p**width, width), dtype=np.int64)
-    vals = np.arange(p**width, dtype=np.int64)
-    for col in range(width - 1, -1, -1):
-        rows[:, col] = vals % p
-        vals //= p
-    nonzero = (rows[:, : p - 1] != 0).any(axis=1)
-    weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    key_one = rows @ weights
-    key_min = key_one.copy()
-    for alpha in range(2, p):
-        np.minimum(key_min, ((rows * alpha) % p) @ weights, out=key_min)
-    keep = np.flatnonzero((key_one == key_min) & nonzero)
-    out = []
-    for i in keep:
-        row = rows[i]
-        phi = (0, *(int(v) for v in row[: p - 1]))
-        out.append(mpl2_params(p, (p,), phi, int(row[p - 1])))
-    return sorted(out, key=lambda q: (q.phi, q.s))
+    rows, least = _mpl2_orbit_minima(p)
+    return [
+        mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1])
+        for row in rows[least].tolist()
+    ]
 
 
 def _enumerate_irr(p: int) -> list[IrrParams]:
-    half = p // 2 + 1
+    full, least, _ = _irr_orbit_minima(p)
     out = []
-    for code in range(p**half):
-        digits = []
-        v = code
-        for _ in range(half):
-            v, r = divmod(v, p)
-            digits.append(r)
-        digits.reverse()
-        phi = tuple(digits[a] if a < half else digits[p - a] for a in range(p))
-        if all(v == phi[0] for v in phi):
-            continue
-        if canonical_phi(p, phi) != phi:
-            continue
-        for alpha in phi_stabilizer(p, phi):
-            out.append(IrrParams(p, phi, alpha))
-    return sorted(out, key=lambda q: (q.phi, q.alpha))
+    for phi in map(tuple, full[least].tolist()):
+        out.extend(IrrParams(p, phi, alpha) for alpha in phi_stabilizer(p, phi))
+    return out
 
 
 # -- classification -------------------------------------------------------------

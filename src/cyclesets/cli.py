@@ -28,7 +28,6 @@ from .jsonio import (
     brace_to_dict,
     count_report_to_dict,
     cycle_set_to_dict,
-    document_to_dict,
     dump_line,
     load_document,
     solution_to_dict,

@@ -4,7 +4,8 @@ The counts split by family: one cyclic class, the level-two classes counted by
 p(p^(p-1) - 1)/(p - 1), and the irretractable classes counted separately for
 defect maps with f(0) != 0 ("even branch") and f(0) = 0 ("zero branch").
 The enumeration functions recount both irretractable branches and the
-level-two orbits by scanning all defect maps with numpy digit arrays.
+level-two orbits with one numpy orbit-minimum scan over all defect maps; the
+classifier reads its class representatives off the same scan.
 """
 
 from __future__ import annotations
@@ -37,18 +38,23 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for q in _prime_factors(n):
+        out -= out // q
     return out
 
 
@@ -110,6 +116,49 @@ def _digit_rows(p: int, width: int) -> np.ndarray:
     return out
 
 
+def _orbit_minima(rows: np.ndarray, p: int, act) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit minima of digit rows under the units alpha of Z_p.
+
+    ``act(rows, alpha)`` returns the image rows.  Keys are big-endian, so a
+    row is kept exactly when it is the lexicographically least of its orbit.
+    Returns the is-least-in-orbit mask and each row's stabiliser size.
+    """
+    weights = p ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    key_one = rows @ weights
+    key_min = key_one.copy()
+    stab = np.ones(len(rows), dtype=np.int64)
+    for alpha in range(2, p):
+        key = act(rows, alpha) @ weights
+        stab += key == key_one
+        np.minimum(key_min, key, out=key_min)
+    return key_one == key_min, stab
+
+
+def _irr_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All even defect maps in lexicographic order, the mask of non-constant
+    orbit minima under f -> alpha^{-1} f(alpha A), and stabiliser sizes."""
+    half = p // 2 + 1
+    digits = _digit_rows(p, half)
+    full = np.empty((p**half, p), dtype=np.int64)
+    full[:, :half] = digits
+    for a in range(half, p):
+        full[:, a] = digits[:, p - a]
+
+    def act(rows, alpha):
+        return (rows[:, (np.arange(p) * alpha) % p] * pow(alpha, -1, p)) % p
+
+    least, stab = _orbit_minima(full, p, act)
+    return full, least & (full != full[:, :1]).any(axis=1), stab
+
+
+def _mpl2_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (f(1)..f(p-1), s) in lexicographic order, f(0) = 0 implicit, and
+    the mask of those least in their orbit under joint scaling with f != 0."""
+    rows = _digit_rows(p, p)
+    least, _ = _orbit_minima(rows, p, lambda rows, alpha: (rows * alpha) % p)
+    return rows, least & (rows[:, : p - 1] != 0).any(axis=1)
+
+
 def count_irr_by_enumeration(p: int) -> tuple[int, int]:
     """Recount irretractable classes by scanning all even defect maps.
 
@@ -119,30 +168,9 @@ def count_irr_by_enumeration(p: int) -> tuple[int, int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    half = p // 2 + 1
-    digits = _digit_rows(p, half)
-    full = np.empty((p**half, p), dtype=np.int64)
-    full[:, :half] = digits
-    for a in range(half, p):
-        full[:, a] = digits[:, p - a]
-    nonconst = (full != full[:, :1]).any(axis=1)
-
-    weights = p ** np.arange(p, dtype=np.int64)
-    key_one = full @ weights
-    key_min = key_one.copy()
-    stab = np.ones(p**half, dtype=np.int64)
-    for alpha in range(2, p):
-        inv = pow(alpha, -1, p)
-        cols = (np.arange(p) * alpha) % p
-        transformed = (full[:, cols] * inv) % p
-        key = transformed @ weights
-        stab += key == key_one
-        np.minimum(key_min, key, out=key_min)
-
-    canonical = (key_one == key_min) & nonconst
-    even_branch = canonical & (full[:, 0] != 0)
-    zero_branch = canonical & (full[:, 0] == 0)
-    return int(stab[even_branch].sum()), int(stab[zero_branch].sum())
+    full, least, stab = _irr_orbit_minima(p)
+    zero = full[:, 0] == 0
+    return int(stab[least & ~zero].sum()), int(stab[least & zero].sum())
 
 
 def count_mpl2_by_enumeration(p: int) -> int:
@@ -153,34 +181,4 @@ def count_mpl2_by_enumeration(p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rows = _digit_rows(p, p)  # columns 0..p-2 are f(1..p-1), column p-1 is s
-    nonzero = (rows[:, : p - 1] != 0).any(axis=1)
-    weights = p ** np.arange(p, dtype=np.int64)
-    key_one = rows @ weights
-    key_min = key_one.copy()
-    for alpha in range(2, p):
-        key = ((rows * alpha) % p) @ weights
-        np.minimum(key_min, key, out=key_min)
-    return int(((key_one == key_min) & nonzero).sum())
-
-
-def fp_rank(rows, p: int) -> int:
-    """Rank over the field with p elements (Gaussian elimination)."""
-    mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return int(_mpl2_orbit_minima(p)[1].sum())

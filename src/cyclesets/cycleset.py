@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InducedTableIllDefined, InvariantViolation
-from .perms import PermGroup, Perm, is_perm, is_transitive
+from .perms import Perm, _UnionFind, inverse, is_perm, is_transitive
 
 _Table = tuple[tuple[int, ...], ...]
 
@@ -26,6 +26,8 @@ class CycleSet:
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.table)
         n = len(rows)
+        if n == 0:
+            raise ValueError("a cycle set needs at least one point")
         for row in rows:
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise ValueError("malformed cycle set table")
@@ -97,6 +99,12 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
     return ValidityReport(c1_ok, c1_wit, c2_ok, c2_wit, c3_ok, c3_wit)
 
 
+def _is_morphism(ta, tb, f) -> bool:
+    """f(x*y) = f(x)*'f(y) for all x, y, with tables ta and tb."""
+    n = len(ta)
+    return all(f[ta[x][y]] == tb[f[x]][f[y]] for x in range(n) for y in range(n))
+
+
 def assert_valid(cs: CycleSet) -> CycleSet:
     rep = check_cycle_set(cs)
     if not rep.ok:
@@ -109,11 +117,6 @@ def sigma_gens(cs: CycleSet) -> list[Perm]:
     return list(cs.sigma_perms())
 
 
-def permutation_group(cs: CycleSet) -> PermGroup:
-    """The group generated by the row permutations."""
-    return PermGroup(cs.n, cs.sigma_perms())
-
-
 def is_indecomposable(cs: CycleSet) -> bool:
     """True when the row permutations act transitively on the points."""
     return is_transitive(cs.sigma_perms(), cs.n)
@@ -123,9 +126,7 @@ def relabel(cs: CycleSet, perm: Perm) -> CycleSet:
     """Transport the table along x -> perm[x]."""
     if not is_perm(perm) or len(perm) != cs.n:
         raise ValueError("relabel needs a permutation of the points")
-    inv = [0] * cs.n
-    for i, x in enumerate(perm):
-        inv[x] = i
+    inv = inverse(perm)
     t = cs.table
     return CycleSet(
         tuple(tuple(perm[t[inv[x]][inv[y]]] for y in range(cs.n)) for x in range(cs.n))
@@ -139,25 +140,10 @@ def retraction(cs: CycleSet) -> tuple[CycleSet, tuple[int, ...]]:
     the class of x*y fails to depend only on the classes of x and y (cannot
     happen for a valid cycle set).
     """
-    n = cs.n
-    classes: dict[tuple[int, ...], int] = {}
-    proj = []
-    for x in range(n):
-        key = cs.table[x]
-        if key not in classes:
-            classes[key] = len(classes)
-        proj.append(classes[key])
-    m = len(classes)
-    rep = [None] * m
-    for x in range(n):
-        if rep[proj[x]] is None:
-            rep[proj[x]] = x
-    induced = [[proj[cs.table[rep[a]][rep[b]]] for b in range(m)] for a in range(m)]
-    for x in range(n):
-        for y in range(n):
-            if proj[cs.table[x][y]] != induced[proj[x]][proj[y]]:
-                raise InducedTableIllDefined((proj[x], proj[y]), (x, y))
-    return CycleSet(tuple(tuple(r) for r in induced)), tuple(proj)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for x, row in enumerate(cs.table):
+        classes.setdefault(row, []).append(x)
+    return _induced_table(cs, list(classes.values()))
 
 
 def multipermutation_level(cs: CycleSet) -> int | None:
@@ -206,40 +192,35 @@ def restrict(cs: CycleSet, points) -> CycleSet:
 
 
 def _join_partitions(a, b, n: int):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for part in (a, b):
         for block in part:
-            r = block[0]
             for x in block[1:]:
-                ra, rb = find(r), find(x)
-                if ra != rb:
-                    parent[rb] = ra
+                uf.union(block[0], x)
     blocks: dict[int, list[int]] = {}
     for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
+        blocks.setdefault(uf.find(x), []).append(x)
     return tuple(sorted(tuple(sorted(v)) for v in blocks.values()))
 
 
-def _induced_table(cs: CycleSet, partition):
+def _induced_table(cs: CycleSet, partition) -> tuple[CycleSet, tuple[int, ...]]:
+    """The table induced on the blocks, and each point's block index.
+
+    Block representatives are the first members.  Raises
+    InducedTableIllDefined at the first pair (x, y) whose product's block is
+    not determined by the blocks of x and y.
+    """
     n = cs.n
     cls = [0] * n
     for i, block in enumerate(partition):
         for x in block:
             cls[x] = i
-    m = len(partition)
     induced = [[cls[cs.table[block[0]][other[0]]] for other in partition] for block in partition]
     for x in range(n):
         for y in range(n):
             if cls[cs.table[x][y]] != induced[cls[x]][cls[y]]:
-                return None
-    return CycleSet(tuple(tuple(r) for r in induced))
+                raise InducedTableIllDefined((cls[x], cls[y]), (x, y))
+    return CycleSet(tuple(tuple(r) for r in induced)), tuple(cls)
 
 
 def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]]:
@@ -266,11 +247,13 @@ def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]
                 frontier.append(j)
     out = []
     for system in sorted(systems):
-        induced = _induced_table(cs, system)
-        if induced is not None:
-            if not check_cycle_set(induced).ok:
-                raise InvariantViolation("well-defined quotient is not a cycle set")
-            out.append((system, induced))
+        try:
+            induced, _ = _induced_table(cs, system)
+        except InducedTableIllDefined:
+            continue
+        if not check_cycle_set(induced).ok:
+            raise InvariantViolation("well-defined quotient is not a cycle set")
+        out.append((system, induced))
     return out
 
 

@@ -11,7 +11,8 @@ Three families, each built from explicit parameters:
   and f(alpha*A) = alpha*f(A) (the irretractable classes).
 
 A deformation composes the table with an automorphism; cabling replaces every
-row by its k-th additive multiple inside the row group's brace.
+row by the inverse of k times its inverse in the additive group of the row
+group's brace.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 from math import prod
 
 from .brace import build_perm_brace
-from .cycleset import CycleSet, assert_valid, check_cycle_set
+from .cycleset import CycleSet, _is_morphism, check_cycle_set
 from .counting import is_prime
 from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism
-from .perms import Perm, is_perm
+from .perms import Perm, inverse, is_perm
 from .solutions import Solution, check_solution, to_solution
 
 
@@ -222,12 +223,15 @@ def params_to_dict(params: FamilyParams) -> dict:
 
 def params_from_dict(data: dict) -> FamilyParams:
     family = data.get("family")
-    if family == "cyclic":
-        return CyclicParams(int(data["p"]))
-    if family == "mpl2":
-        return mpl2_params(data["m"], data["a_invariants"], data["phi"], data["s"])
-    if family == "irr":
-        return IrrParams(int(data["p"]), tuple(int(v) for v in data["phi"]), int(data.get("alpha", 1)))
+    try:
+        if family == "cyclic":
+            return CyclicParams(int(data["p"]))
+        if family == "mpl2":
+            return mpl2_params(data["m"], data["a_invariants"], data["phi"], data["s"])
+        if family == "irr":
+            return IrrParams(int(data["p"]), tuple(int(v) for v in data["phi"]), int(data.get("alpha", 1)))
+    except KeyError as exc:
+        raise InvariantViolation(f"{family} document lacks the field {exc.args[0]!r}") from None
     raise ValueError(f"unknown family: {family!r}")
 
 
@@ -237,10 +241,7 @@ def params_from_dict(data: dict) -> FamilyParams:
 def is_cycle_set_automorphism(cs: CycleSet, perm: Perm) -> bool:
     if not is_perm(perm) or len(perm) != cs.n:
         return False
-    t = cs.table
-    return all(
-        perm[t[x][y]] == t[perm[x]][perm[y]] for x in range(cs.n) for y in range(cs.n)
-    )
+    return _is_morphism(cs.table, cs.table, perm)
 
 
 def deform(cs: CycleSet, perm: Perm) -> CycleSet:
@@ -255,9 +256,10 @@ def deform(cs: CycleSet, perm: Perm) -> CycleSet:
 
 
 def cable(cs: CycleSet, k: int, cap: int = 1_000_000) -> CycleSet:
-    """Replace each row by its k-th additive multiple in the row brace."""
+    """Replace each row x*(-) by the inverse of k·g_x, with g_x = (x*(-))^{-1}
+    an additive generator of the row brace."""
     br = build_perm_brace(cs, cap=cap)
-    rows = tuple(br.perm(br.add_pow(k, int(br.sidx[x]))) for x in range(cs.n))
+    rows = tuple(br.inv_elems[br.add_pow(k, int(br.gidx[x]))] for x in range(cs.n))
     out = CycleSet(rows)
     rep = check_cycle_set(out)
     if not rep.ok:
@@ -300,7 +302,6 @@ def co_simple_solution(p: int, f, t: int) -> Solution:
     if all(v == f[0] for v in f):
         raise ConstantPhi("condition S3 failed: f is constant")
 
-    n = p * p
     lam = []
     for i in range(p):
         for j in range(p):
@@ -311,22 +312,11 @@ def co_simple_solution(p: int, f, t: int) -> Solution:
                 for l in range(p):
                     row.append(first * p + (t * (l - shift)) % p)
             lam.append(tuple(row))
-    inv_lam = {x: _invert_row(lam[x]) for x in range(n)}
-    rho = tuple(
-        tuple(inv_lam[lam[x][y]][x] for x in range(n)) for y in range(n)
-    )
-    sol = Solution(tuple(lam), rho)
+    sol = to_solution(CycleSet(tuple(inverse(row) for row in lam)), check=False)
     rep = check_solution(sol)
     if not rep.ok:
         raise InvariantViolation(f"co-simple parameters give no solution: {rep}")
     return sol
-
-
-def _invert_row(row):
-    out = [0] * len(row)
-    for i, v in enumerate(row):
-        out[v] = i
-    return tuple(out)
 
 
 def mirror_perm(p: int) -> Perm:

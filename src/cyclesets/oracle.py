@@ -10,6 +10,7 @@ isomorphism engine, so it can audit both.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -173,23 +174,27 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     """All cycle sets of size opts.n up to isomorphism, within the budgets.
 
     The result's ``complete`` flag records whether any budget tripped; when
-    False the class list is a (still deduplicated) lower bound.
+    False the class list is a (still deduplicated) lower bound.  The search
+    runs in opts.jobs worker processes, at most one per CPU.
     """
     n = opts.n
     if n < 1:
         raise ValueError("need n >= 1")
     if n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"oracle enumeration is limited to n <= {_BRUTE_LIMIT}")
+    if opts.jobs < 1:
+        raise ValueError("need jobs >= 1")
+    jobs = min(opts.jobs, os.cpu_count() or 1)
     start = time.monotonic()
     deadline = start + opts.time_budget if opts.time_budget is not None else None
 
-    if opts.jobs > 1:
+    if jobs > 1:
         import multiprocessing
 
         first = list(itertools.permutations(range(n)))
-        chunks = [first[i :: opts.jobs] for i in range(opts.jobs)]
-        per_chunk = None if opts.max_nodes is None else max(1, opts.max_nodes // opts.jobs)
-        with multiprocessing.Pool(opts.jobs) as pool:
+        chunks = [first[i :: jobs] for i in range(jobs)]
+        per_chunk = None if opts.max_nodes is None else max(1, opts.max_nodes // jobs)
+        with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(
                 _run_chunk, [(n, chunk, per_chunk, deadline) for chunk in chunks]
             )

@@ -6,6 +6,8 @@ of ``i``.  Composition is right-to-left: ``compose(a, b)`` applies ``b`` first.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import CapExceeded, NotTransitive
 
 Perm = tuple[int, ...]
@@ -33,20 +35,7 @@ def is_perm(seq) -> bool:
 
 
 def perm_order(a: Perm) -> int:
-    n = len(a)
-    order = 1
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        order = _lcm(order, length)
-    return order
+    return lcm(*cycle_type(a))
 
 
 def cycle_type(a: Perm) -> tuple[int, ...]:
@@ -65,12 +54,6 @@ def cycle_type(a: Perm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def closure(gens, cap: int = 1_000_000) -> list[Perm]:
@@ -183,29 +166,3 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
         if system is not None:
             systems.add(system)
     return sorted(systems)
-
-
-class PermGroup:
-    """Thin wrapper tying a degree, generators, and a cached element list."""
-
-    def __init__(self, n: int, gens):
-        self.n = n
-        self.gens = tuple(tuple(g) for g in gens)
-        self._elements: list[Perm] | None = None
-
-    def elements(self, cap: int = 1_000_000) -> list[Perm]:
-        if self._elements is None:
-            self._elements = closure(self.gens, cap)
-        return self._elements
-
-    def order(self, cap: int = 1_000_000) -> int:
-        return len(self.elements(cap))
-
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        return orbits(self.gens, self.n)
-
-    def is_transitive(self) -> bool:
-        return is_transitive(self.gens, self.n)
-
-    def block_systems(self) -> list[tuple[tuple[int, ...], ...]]:
-        return block_systems(self.gens, self.n)

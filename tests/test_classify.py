@@ -8,7 +8,6 @@ from cyclesets import (
     CycleSet,
     CyclicParams,
     IrrParams,
-    Mpl2Params,
     NotIndecomposable,
     NotSizePSquared,
     automorphisms,
@@ -223,13 +222,24 @@ def test_enumerate_members_are_pairwise_distinct(p3_params, p3_members):
             assert iso_cycle_sets(a, b) is None
 
 
-def test_enumerate_reps_are_canonical(p3_params):
-    for params in p3_params:
-        if isinstance(params, IrrParams):
-            assert params.phi == canonical_phi(3, params.phi)
-        elif isinstance(params, Mpl2Params):
-            flat_phi = tuple(v[0] for v in params.phi)
-            assert (flat_phi, params.s[0]) == canonical_mpl2_pair(3, flat_phi, params.s[0])
+def test_enumerate_reps_are_canonical():
+    """Per-item Python reference for the shared numpy orbit scan."""
+    for p in (3, 5, 7):
+        irr = enumerate_classes(p, family="irr")
+        assert all(q.phi == canonical_phi(p, q.phi) for q in irr)
+        alphas: dict = {}
+        for q in irr:
+            alphas.setdefault(q.phi, []).append(q.alpha)
+        assert all(got == phi_stabilizer(p, phi) for phi, got in alphas.items())
+        irr_keys = [(q.phi, q.alpha) for q in irr]
+        assert irr_keys == sorted(set(irr_keys))
+
+        mpl2_keys = []
+        for q in enumerate_classes(p, family="mpl2"):
+            pair = (tuple(v[0] for v in q.phi), q.s[0])
+            assert pair == canonical_mpl2_pair(p, *pair)
+            mpl2_keys.append(pair)
+        assert mpl2_keys == sorted(set(mpl2_keys))
 
 
 # -- recovering parameters from bare tables -------------------------------------

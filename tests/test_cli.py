@@ -189,11 +189,12 @@ def test_cable_identity(tmp_path, capsys):
     assert tuple(map(tuple, json.loads(out)["table"])) == cs.table
 
 
-def test_cable_rejects_bad_multiplier(tmp_path, capsys):
-    path = write_cycle_set(tmp_path, irr_cycle_set(3, (0, 1, 1), 1))
-    code, _, err = run(capsys, "cable", "--in", path, "--k", "2")
-    assert code == 1
-    assert "error" in err
+def test_cable_by_two_exits_zero(tmp_path, capsys):
+    for p, phi in ((3, (0, 1, 1)), (5, (0, 1, 4, 4, 1))):
+        path = write_cycle_set(tmp_path, irr_cycle_set(p, phi, 1))
+        code, out, _ = run(capsys, "cable", "--in", path, "--k", "2")
+        assert code == 0
+        assert check_cycle_set(CycleSet(tuple(map(tuple, json.loads(out)["table"])))).ok
 
 
 def test_deform_by_translation(tmp_path, capsys):
@@ -278,3 +279,46 @@ def test_json_lines_are_sorted_and_compact(capsys):
     assert out.count("\n") == 1
     doc = json.loads(out)
     assert list(doc.keys()) == sorted(doc.keys())
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_family_document_missing_field_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "irr.json"
+    path.write_text('{"family": "irr", "phi": [0, 1]}\n')
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    _assert_one_line_error(code, out, err)
+    assert "'p'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "brace", "aut", "retract"])
+def test_empty_table_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind": "cycle_set", "table": []}\n')
+    code, out, err = run(capsys, command, "--in", str(path))
+    _assert_one_line_error(code, out, err)
+    assert "at least one point" in err
+
+
+def test_oracle_rejects_zero_jobs(capsys):
+    code, out, err = run(capsys, "oracle", "--n", "3", "--jobs", "0")
+    _assert_one_line_error(code, out, err)
+
+
+def test_oracle_jobs_are_capped_at_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, _ = run(capsys, "oracle", "--n", "3", "--jobs", "64")
+    assert code == 0
+    assert json.loads(out.strip().split("\n")[-1])["classes"] == 5

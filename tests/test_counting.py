@@ -9,7 +9,6 @@ from cyclesets import (
     count_mpl2_by_enumeration,
     divisors,
     euler_phi,
-    fp_rank,
     is_prime,
     psi,
     two_adic_split,
@@ -111,10 +110,3 @@ def test_mpl2_formula_matches_orbit_count(p):
 def test_irr_formula_matches_orbit_count_large():
     assert count_irr_by_enumeration(7) == (342, 65)
     assert count_irr_by_enumeration(11) == (161050, 16129)
-
-
-def test_fp_rank():
-    assert fp_rank([[1, 0], [0, 1]], 2) == 2
-    assert fp_rank([[2, 4], [1, 2]], 5) == 1
-    assert fp_rank([[0, 0, 0]], 3) == 0
-    assert fp_rank([[1, 1], [1, 1], [2, 2]], 3) == 1

@@ -16,6 +16,7 @@ from cyclesets import (
     co_simple_solution,
     cyclic_cycle_set,
     deform,
+    enumerate_classes,
     irr_cycle_set,
     is_cycle_set_automorphism,
     mirror_perm,
@@ -156,9 +157,15 @@ def test_cable_congruent_to_one_is_identity():
     assert cable(cs, 82).table == cs.table  # 82 = |row group| + 1
 
 
-def test_cable_can_destroy_the_axioms():
-    with pytest.raises(InvariantViolation):
-        cable(irr_cycle_set(3, (0, 1, 1), 1), 2)
+def test_cable_by_two_keeps_the_axioms():
+    # every irretractable member at p = 3, and the five at p = 5 whose row
+    # brace has order 625 (the other 25 have order 15625 and cost a second each)
+    small_p5 = {(0, 1, 4, 4, 1), (1, 0, 2, 2, 0), (1, 2, 0, 0, 2), (1, 3, 4, 4, 3), (1, 4, 3, 3, 4)}
+    members = enumerate_classes(3, family="irr")
+    members += [q for q in enumerate_classes(5, family="irr") if q.phi in small_p5]
+    assert len(members) == 8
+    for params in members:
+        assert check_cycle_set(cable(to_cycle_set(params), 2)).ok
 
 
 # -- the mirrored presentation -------------------------------------------------

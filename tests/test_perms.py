@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from cyclesets import (
     CapExceeded,
-    PermGroup,
     block_systems,
     closure,
     compose,
@@ -114,14 +113,6 @@ def test_block_systems_of_irretractable_member():
     # odd p: exactly one system, the rows {a} x Z_p
     gens = sigma_gens(irr_cycle_set(3, (0, 1, 1), 1))
     assert block_systems(gens, 9) == [((0, 1, 2), (3, 4, 5), (6, 7, 8))]
-
-
-def test_perm_group_wrapper():
-    g = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
-    assert g.order() == 4
-    assert g.is_transitive()
-    assert len(g.block_systems()) == 3
-    assert g.orbits() == ((0, 1, 2, 3),)
 
 
 @given(perms_of(5), perms_of(5))
