@@ -8,7 +8,7 @@ formulas against orbit enumeration, verifies that twisting by a scaling
 automorphism reproduces the twisted constructor, checks the automorphism
 groups of the twisted members, round-trips them through the classifier,
 and (optionally, --closure) computes the permutation group order of a
-twisted member, which takes about half a minute.
+twisted member with perms.closure, which takes about 15 seconds.
 """
 
 import argparse

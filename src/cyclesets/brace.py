@@ -8,7 +8,8 @@ g_x = (x*(-))^{-1}.  G carries an abelian addition determined by
 which makes (G, +, o) a brace: lambda_a(b) = -a + a o b is an additive
 automorphism for every a, and lambda_a(g_x) = g_{a(x)}.
 
-Elements are indexed 0..order-1 (index 0 is the identity = additive zero).
+G is closed by ``perms.closure``; its elements are indexed 0..order-1 in the
+closure's order (index 0 is the identity = additive zero).
 No Cayley tables are materialised: every element gets a canonical additive
 generator word from a breadth-first search, and sums, lambda-images and whole
 rows are evaluated by folding those words with numpy gathers.
@@ -22,8 +23,8 @@ import numpy as np
 
 from .counting import _prime_factors
 from .cycleset import CycleSet, assert_valid
-from .errors import CapExceeded, InconsistentAddition, InvariantViolation, SizeTooLarge
-from .perms import inverse
+from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
+from .perms import closure, inverse
 
 
 @dataclass(frozen=True)
@@ -38,19 +39,21 @@ class BraceSubset:
 
 
 class PermBrace:
-    """Use build_perm_brace; the constructor wires precomputed state."""
+    """Use build_perm_brace: ``elems`` is the closure of ``gens``, the inverse rows."""
 
-    def __init__(self, n_points, elems, index, gidx, sidx):
+    def __init__(self, elems, gens):
+        order, n_points = elems.shape
         self.n_points = n_points
         self.elems = elems  # (order, n_points) int32, row i = permutation of element i
-        self._index = index  # row bytes -> element index
+        self._stride = stride = n_points * elems.itemsize
+        buf = elems.tobytes()
+        # row bytes -> element index
+        self._index = {buf[i * stride : (i + 1) * stride]: i for i in range(order)}
         self.inv_elems = np.empty_like(elems)
-        rng = np.arange(elems.shape[0])
+        rng = np.arange(order)
         self.inv_elems[rng[:, None], elems] = np.arange(n_points, dtype=elems.dtype)[None, :]
-        self.gidx = gidx  # gidx[x] = index of g_x = (x*(-))^{-1}
-        self.sidx = sidx  # sidx[x] = index of the row x*(-)
+        self.gidx = self._lookup_many(gens)  # gidx[x] = index of g_x = (x*(-))^{-1}
         self.zero = 0
-        self._stride = n_points * elems.dtype.itemsize
         self._words: dict[int, tuple[int, ...]] = {}
         self._build_additive_bfs()
 
@@ -105,10 +108,12 @@ class PermBrace:
     def perm(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.elems[i])
 
+    def _lookup(self, row) -> int:
+        return self._index[np.ascontiguousarray(row, dtype=self.elems.dtype).tobytes()]
+
     def index_of(self, perm) -> int:
-        key = np.ascontiguousarray(perm, dtype=self.elems.dtype).tobytes()
         try:
-            return self._index[key]
+            return self._lookup(perm)
         except KeyError:
             raise ValueError("permutation is not in the group") from None
 
@@ -126,11 +131,10 @@ class PermBrace:
     # -- group operations ----------------------------------------------------
 
     def circ(self, i: int, j: int) -> int:
-        row = self.elems[i][self.elems[j]]
-        return self._index[np.ascontiguousarray(row).tobytes()]
+        return self._lookup(self.elems[i][self.elems[j]])
 
     def circ_inv(self, i: int) -> int:
-        return self._index[np.ascontiguousarray(self.inv_elems[i]).tobytes()]
+        return self._lookup(self.inv_elems[i])
 
     def circ_many(self, src: np.ndarray, other: np.ndarray) -> np.ndarray:
         rows = np.take_along_axis(self.elems[src], self.elems[other], axis=1)
@@ -246,21 +250,18 @@ class PermBrace:
         mask = (img == self.gidx[None, :]).all(axis=1)
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
-    def fix(self, subset=None) -> BraceSubset:
-        """Elements fixed by lambda_s for every s (in ``subset``, default all).
+    def fix(self) -> BraceSubset:
+        """Elements fixed by lambda_s for every s.
 
-        Without a subset the generators suffice since lambda is multiplicative.
+        The generators suffice since lambda is multiplicative.
         """
         cand = np.arange(self.order)
-        sources = np.unique(self.gidx) if subset is None else np.asarray(sorted(set(subset)))
-        for g in sources:
+        for g in np.unique(self.gidx):
             lr = self.lam_row(int(g))
             cand = cand[lr[cand] == cand]
-        # lambda_s is additive, so the fixed set is always +-closed; for the
-        # full fix it is also o-closed (conjugate the subscript).
-        return self.classify_subset(
-            cand, known_add_subgroup=True, known_circ_subgroup=subset is None
-        )
+        # lambda_s is additive, so the fixed set is +-closed; it is also
+        # o-closed (conjugate the subscript).
+        return self.classify_subset(cand, known_add_subgroup=True, known_circ_subgroup=True)
 
     def block_stabilizer(self, system) -> BraceSubset:
         """Elements whose point permutation maps every given block onto itself."""
@@ -287,26 +288,24 @@ class PermBrace:
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
-    def _span(self, indices, op) -> tuple[int, ...]:
-        """Closure of {zero} under cur -> op(cur, g) for the given elements g."""
+    def additive_span(self, indices) -> tuple[int, ...]:
+        """Additive subgroup generated by the given elements."""
         seen = {self.zero}
         frontier = [self.zero]
         gens = [int(i) for i in indices]
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = op(cur, g)
+                nxt = self.add(cur, g)
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
         return tuple(sorted(seen))
 
-    def additive_span(self, indices) -> tuple[int, ...]:
-        """Additive subgroup generated by the given elements."""
-        return self._span(indices, self.add)
-
     def circ_span(self, indices) -> tuple[int, ...]:
-        return self._span(indices, self.circ)
+        """Subgroup generated under o by the given elements."""
+        rows = self.elems[[int(i) for i in indices]]
+        return tuple(sorted(self._lookup_many(closure(rows)).tolist()))
 
     def _circ_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
         if S.size > 2048:
@@ -397,51 +396,11 @@ class PermBrace:
         return np.stack([self.lam_row(i) for i in range(self.order)])
 
 
-def build_perm_brace(cs: CycleSet, cap: int = 1_000_000, check: bool = True) -> PermBrace:
+def build_perm_brace(cs: CycleSet) -> PermBrace:
     """Close the inverse rows under composition and attach the brace structure."""
-    if check:
-        assert_valid(cs)
-    n = cs.n
-    dtype = np.int32
-    gens_t = []
-    seen_gens = set()
-    for row in cs.table:
-        g = inverse(row)
-        if g not in seen_gens:
-            seen_gens.add(g)
-            gens_t.append(g)
-    gens = np.array(gens_t, dtype=np.int64)
-
-    ident = np.arange(n, dtype=dtype)
-    stride = n * ident.itemsize
-    rows = [ident]
-    index = {ident.tobytes(): 0}
-    frontier = np.array([ident])
-    while frontier.size:
-        batches = [frontier[:, g] for g in gens]
-        cand = np.ascontiguousarray(np.concatenate(batches), dtype=dtype)
-        buf = cand.tobytes()
-        fresh = []
-        for r in range(cand.shape[0]):
-            key = buf[r * stride : (r + 1) * stride]
-            if key not in index:
-                index[key] = len(index)
-                fresh.append(cand[r])
-                if len(index) > cap:
-                    raise CapExceeded(cap)
-        rows.extend(fresh)
-        frontier = np.array(fresh) if fresh else np.empty((0, n), dtype=dtype)
-
-    elems = np.array(rows, dtype=dtype)
-    # map every point to the index of its own row's inverse / row
-    gidx_full = np.empty(n, dtype=np.int64)
-    sidx_full = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        g = np.ascontiguousarray(inverse(cs.table[x]), dtype=dtype).tobytes()
-        s = np.ascontiguousarray(cs.table[x], dtype=dtype).tobytes()
-        gidx_full[x] = index[g]
-        sidx_full[x] = index[s]
-    return PermBrace(n, elems, index, gidx_full, sidx_full)
+    assert_valid(cs)
+    gens = np.array([inverse(row) for row in cs.table], dtype=np.int32)
+    return PermBrace(closure(gens), gens)
 
 
 def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:

@@ -267,7 +267,7 @@ def _recover_alpha(cs: CycleSet, p: int) -> int:
     for gen in gens:
         img = [pos[gen[block[0]]] for block in blocks]
         induced.append(tuple(img))
-    quotient = closure(induced, cap=100_000)
+    quotient = [tuple(h) for h in closure(induced, cap=100_000).tolist()]
     translations = [
         h for h in quotient if h == tuple(range(p)) or (perm_order(h) == p and all(h[i] != i for i in range(p)))
     ]

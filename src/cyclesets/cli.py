@@ -13,7 +13,7 @@ import sys
 
 from .brace import build_perm_brace, verify_brace
 from .classify import automorphisms, classify_size_p2, enumerate_classes, iso_cycle_sets
-from .counting import count_formula
+from .counting import count_formula, is_prime
 from .cycleset import CycleSet, check_cycle_set, multipermutation_level, retraction
 from .families import (
     CyclicParams,
@@ -59,7 +59,7 @@ def _render_rows(rows) -> str:
 
 def _emit_cycle_set(cs: CycleSet, args) -> None:
     with _out_stream(args.out) as out:
-        if getattr(args, "format", "json") == "table":
+        if args.format == "table":
             out.write(_render_rows(cs.table) + "\n")
         else:
             dump_line(cycle_set_to_dict(cs), out)
@@ -178,9 +178,27 @@ def cmd_enumerate(args, parser) -> int:
     return 0
 
 
+def _largest_printable_prime(limit: int) -> int:
+    """Largest prime whose class counts have at most ``limit`` decimal digits."""
+    best, q = 2, 3
+    while count_formula(q).total < 10**limit:
+        best = q
+        q += 2
+        while not is_prime(q):
+            q += 2
+    return best
+
+
 def cmd_count(args, parser) -> int:
+    report = count_formula(args.p)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and report.total >= 10**limit:
+        raise ValueError(
+            f"the counts at p = {args.p} are too long to print (over {limit} digits); "
+            f"the largest supported p is {_largest_printable_prime(limit)}"
+        )
     with _out_stream(args.out) as out:
-        dump_line(count_report_to_dict(count_formula(args.p)), out)
+        dump_line(count_report_to_dict(report), out)
     return 0
 
 
@@ -275,6 +293,9 @@ def _add_common(sub: argparse.ArgumentParser, *, infile=None, many_in=False) -> 
     elif infile is not None:
         sub.add_argument("--in", dest="infile", metavar="FILE", required=infile == "required")
     sub.add_argument("--out", default=None, metavar="FILE", help="output path or - for stdout")
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="json")
 
 
@@ -297,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("convert", help="cycle set <-> solution, family -> cycle set")
     _add_common(sub, infile="optional")
+    _add_format(sub)
     _add_family_flags(sub)
     sub.set_defaults(func=cmd_convert)
 
@@ -326,15 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("retract", help="retraction of a cycle set")
     _add_common(sub, infile="required")
+    _add_format(sub)
     sub.set_defaults(func=cmd_retract)
 
     sub = commands.add_parser("cable", help="replace each row by its k-th additive power")
     _add_common(sub, infile="required")
+    _add_format(sub)
     sub.add_argument("--k", type=int, required=True)
     sub.set_defaults(func=cmd_cable)
 
     sub = commands.add_parser("deform", help="twist the table by an automorphism")
     _add_common(sub, infile="required")
+    _add_format(sub)
     sub.add_argument("--phi", type=_parse_ints, help="permutation as comma-separated images")
     sub.set_defaults(func=cmd_deform)
 

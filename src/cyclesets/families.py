@@ -232,6 +232,8 @@ def params_from_dict(data: dict) -> FamilyParams:
             return IrrParams(int(data["p"]), tuple(int(v) for v in data["phi"]), int(data.get("alpha", 1)))
     except KeyError as exc:
         raise InvariantViolation(f"{family} document lacks the field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise InvariantViolation(f"{family} document has a wrongly typed field: {exc}") from None
     raise ValueError(f"unknown family: {family!r}")
 
 
@@ -255,10 +257,10 @@ def deform(cs: CycleSet, perm: Perm) -> CycleSet:
     return out
 
 
-def cable(cs: CycleSet, k: int, cap: int = 1_000_000) -> CycleSet:
+def cable(cs: CycleSet, k: int) -> CycleSet:
     """Replace each row x*(-) by the inverse of k·g_x, with g_x = (x*(-))^{-1}
     an additive generator of the row brace."""
-    br = build_perm_brace(cs, cap=cap)
+    br = build_perm_brace(cs)
     rows = tuple(br.inv_elems[br.add_pow(k, int(br.gidx[x]))] for x in range(cs.n))
     out = CycleSet(rows)
     rep = check_cycle_set(out)

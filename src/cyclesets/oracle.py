@@ -28,7 +28,6 @@ class SearchOptions:
     irretractable_only: bool = False
     max_nodes: int | None = None
     time_budget: float | None = None
-    canonicalize: bool = True
     jobs: int = 1
 
 
@@ -106,7 +105,7 @@ class _State:
     nodes: int = 0
     max_nodes: int | None = None
     deadline: float | None = None
-    canon: dict = field(default_factory=dict)
+    canon: set = field(default_factory=set)  # canonical tables found
 
 
 def _square_law_holds_at(rows, x: int, n: int) -> bool:
@@ -135,7 +134,7 @@ def _extend(rows, diag_used, n, state):
         if state.deadline is not None and time.monotonic() > state.deadline:
             raise _Budget
         cs = CycleSet(tuple(rows))
-        state.canon.setdefault(canonical_form(cs).table, cs.table)
+        state.canon.add(canonical_form(cs).table)
         return
     for perm in itertools.permutations(range(n)):
         state.nodes += 1
@@ -198,19 +197,13 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
             parts = pool.map(
                 _run_chunk, [(n, chunk, per_chunk, deadline) for chunk in chunks]
             )
-        canon: dict = {}
-        for p in parts:
-            for key, rep in p[0].items():
-                canon.setdefault(key, rep)
+        canon = set().union(*(p[0] for p in parts))
         nodes = sum(p[1] for p in parts)
         complete = all(p[2] for p in parts)
     else:
         canon, nodes, complete = _run_chunk((n, None, opts.max_nodes, deadline))
 
-    if opts.canonicalize:
-        classes = [CycleSet(t) for t in canon]
-    else:
-        classes = [CycleSet(t) for t in canon.values()]
+    classes = [CycleSet(t) for t in canon]
     if opts.indecomposable_only:
         classes = [c for c in classes if is_indecomposable(c)]
     if opts.irretractable_only:

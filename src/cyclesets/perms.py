@@ -2,11 +2,14 @@
 
 A permutation of degree n is a tuple ``p`` of length n with ``p[i]`` the image
 of ``i``.  Composition is right-to-left: ``compose(a, b)`` applies ``b`` first.
+``closure`` is the one group-closure engine; it works on int32 rows.
 """
 
 from __future__ import annotations
 
 from math import lcm
+
+import numpy as np
 
 from .errors import CapExceeded, NotTransitive
 
@@ -56,32 +59,45 @@ def cycle_type(a: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def closure(gens, cap: int = 1_000_000) -> list[Perm]:
-    """All products of the generators, in BFS discovery order.
+def closure(gens, cap: int = 1_000_000) -> np.ndarray:
+    """The group generated by ``gens``, as an (order, n) int32 array.
 
-    Raises CapExceeded when the group would have more than ``cap`` elements.
+    Row 0 is the identity; the others follow in breadth-first discovery
+    order, where a frontier element f yields f∘g for each generator g in
+    turn (all products with the first generator, then the second, ...).
+    Rows are keyed by their bytes, and repeated generators are dropped in
+    first-appearance order.  Raises CapExceeded when the group would have
+    more than ``cap`` elements.
     """
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        return []
-    n = len(gens[0])
-    ident = identity(n)
-    elems = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                h = compose(f, g)
-                if h not in elems:
-                    elems.add(h)
-                    order.append(h)
-                    new.append(h)
-                    if len(elems) > cap:
+    gens = np.array(gens, dtype=np.int32, ndmin=2)
+    n = gens.shape[1]
+    if n == 0:
+        raise ValueError("closure needs the degree: pass at least one generator")
+    ident = np.arange(n, dtype=np.int32)
+    stride = ident.nbytes
+    buf = gens.tobytes()
+    first: dict[bytes, int] = {}
+    for i, r in enumerate(range(0, len(buf), stride)):
+        first.setdefault(buf[r : r + stride], i)
+    gens = gens[list(first.values())]
+    seen = {ident.tobytes()}
+    levels = [ident[None, :]]
+    while len(levels[-1]):
+        frontier = levels[-1]
+        # generators in groups of about 2**16 candidate rows, generator-major
+        step = -(-(1 << 16) // len(frontier))
+        fresh = []
+        for s in range(0, len(gens), step):
+            buf = frontier[:, gens[s : s + step]].swapaxes(0, 1).tobytes()
+            for r in range(0, len(buf), stride):
+                key = buf[r : r + stride]
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+                    if len(seen) > cap:
                         raise CapExceeded(cap)
-        frontier = new
-    return order
+        levels.append(np.frombuffer(b"".join(fresh), dtype=np.int32).reshape(-1, n))
+    return np.concatenate(levels)
 
 
 def orbits(gens, n: int) -> tuple[tuple[int, ...], ...]:

@@ -6,6 +6,7 @@ from cyclesets import (
     SizeTooLarge,
     block_systems,
     build_perm_brace,
+    closure,
     cyclic_cycle_set,
     irr_cycle_set,
     mpl2_cycle_set,
@@ -151,8 +152,11 @@ def test_add_pow_scalar_matches_repeated_addition(brace81):
 def test_spans(brace8):
     assert brace8.additive_span([]) == (brace8.zero,)
     assert len(brace8.additive_span(range(8))) == 8
-    sidx = int(brace8.sidx[0])
-    assert sidx in brace8.circ_span([sidx])
+    sigma0 = brace8.circ_inv(int(brace8.gidx[0]))
+    assert brace8.perm(sigma0) == irr_cycle_set(2, (0, 1), 1).sigma(0)
+    assert brace8.circ_span([]) == (brace8.zero,)
+    assert sigma0 in brace8.circ_span([sigma0])
+    assert len(brace8.circ_span(range(8))) == 8
 
 
 def test_classify_subset_tags_match_brute_force(brace8):
@@ -199,6 +203,15 @@ def test_tables_round_trip(brace8):
 def test_table_guard(brace81):
     with pytest.raises(SizeTooLarge):
         brace81.circ_table(max_order=16)
+
+
+@pytest.mark.parametrize(
+    "cs", [irr_cycle_set(3, (0, 1, 1), 1), mpl2_cycle_set(2, (2,), (0, 1), 1)]
+)
+def test_brace_elements_are_the_closure_of_the_inverse_rows(cs):
+    br = build_perm_brace(cs)
+    assert (br.elems == closure([inverse(row) for row in cs.table])).all()
+    assert [br.perm(int(g)) for g in br.gidx] == [inverse(row) for row in cs.table]
 
 
 def test_mpl2_brace_order():

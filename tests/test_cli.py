@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,8 +7,10 @@ from cyclesets import (
     CycleSet,
     Solution,
     check_cycle_set,
+    count_formula,
     cyclic_cycle_set,
     irr_cycle_set,
+    is_prime,
     mpl2_cycle_set,
 )
 from cyclesets.cli import main
@@ -294,6 +297,55 @@ def test_family_document_missing_field_is_one_line_error(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--in", str(path))
     _assert_one_line_error(code, out, err)
     assert "'p'" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"family": "irr", "p": [3], "phi": [0, 1, 1]}',
+        '{"family": "mpl2", "m": 3, "a_invariants": 3, "phi": [0, 1, 1], "s": 0}',
+    ],
+)
+def test_family_document_with_mistyped_field_is_one_line_error(tmp_path, capsys, doc):
+    path = tmp_path / "family.json"
+    path.write_text(doc + "\n")
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    _assert_one_line_error(code, out, err)
+    assert json.loads(doc)["family"] in err
+
+
+def _assert_largest_printable_p(err, limit):
+    """The error names the largest prime whose counts fit in ``limit`` digits."""
+    largest = int(err.strip().rsplit(" ", 1)[1])
+    above = next(q for q in range(largest + 1, 2 * largest + 2) if is_prime(q))
+    assert is_prime(largest)
+    assert count_formula(largest).total < 10**limit <= count_formula(above).total
+    return largest
+
+
+def test_count_too_long_to_print_names_the_largest_p(capsys):
+    code, out, err = run(capsys, "count", "--p", "100003")
+    _assert_one_line_error(code, out, err)
+    assert "too long to print" in err
+    largest = _assert_largest_printable_p(err, sys.get_int_max_str_digits())
+    assert run(capsys, "count", "--p", str(largest))[0] == 0
+
+
+def test_count_bound_follows_the_digit_limit(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40)
+    code, out, err = run(capsys, "count", "--p", "101")
+    _assert_one_line_error(code, out, err)
+    largest = _assert_largest_printable_p(err, 40)
+    assert run(capsys, "count", "--p", str(largest))[0] == 0
+
+
+def test_format_is_only_accepted_where_it_is_read(tmp_path, capsys):
+    code, out, _ = run(capsys, "count", "--p", "3", "--format", "table")
+    assert code == 2 and out == ""
+    path = write_cycle_set(tmp_path, cyclic_cycle_set(3))
+    code, out, _ = run(capsys, "retract", "--in", path, "--format", "table")
+    assert code == 0
+    assert out == "0\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "brace", "aut", "retract"])

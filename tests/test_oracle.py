@@ -95,13 +95,6 @@ def test_jobs_do_not_change_the_answer(n4_all):
     assert split.complete
 
 
-def test_uncanonicalized_reps_cover_the_same_classes(n4_all):
-    raw = enumerate_cycle_sets(SearchOptions(n=4, canonicalize=False))
-    assert len(raw.classes) == 23
-    canon = {cs.table for cs in n4_all.classes}
-    assert {canonical_form(cs).table for cs in raw.classes} == canon
-
-
 def test_size_guard():
     with pytest.raises(SizeTooLarge):
         enumerate_cycle_sets(SearchOptions(n=10))

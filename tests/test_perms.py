@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,14 +68,29 @@ def test_is_perm():
 
 
 def test_closure_trivial():
-    assert closure([identity(3)]) == [identity(3)]
-    assert len(closure([(1, 0)])) == 2
+    group = closure([identity(3)])
+    assert group.dtype == np.int32 and group.shape == (1, 3)
+    assert group.tolist() == [list(identity(3))]
+    assert closure([(1, 0)]).tolist() == [[0, 1], [1, 0]]
+    assert closure(np.empty((0, 2), dtype=int)).tolist() == [[0, 1]]
+    with pytest.raises(ValueError):
+        closure([])
 
 
 def test_closure_of_irretractable_sigmas_has_order_eight():
     """The four row maps of the size-4 irretractable table generate a group of order 8."""
     gens = sigma_gens(irr_cycle_set(2, (0, 1), 1))
-    assert len(closure(gens)) == 8
+    group = closure(gens)
+    assert group.shape == (8, 4)
+    assert group[0].tolist() == list(identity(4))
+    assert len({tuple(row) for row in group.tolist()}) == 8
+
+
+def test_closure_drops_repeated_generators_in_first_appearance_order():
+    a, b = (1, 2, 0, 3), (0, 1, 3, 2)
+    group = closure([a, a, b, a, b])
+    assert group[:3].tolist() == [list(identity(4)), list(a), list(b)]
+    assert (group == closure([a, b])).all()
 
 
 def test_closure_cap():
@@ -117,7 +133,7 @@ def test_block_systems_of_irretractable_member():
 
 @given(perms_of(5), perms_of(5))
 def test_closure_contains_generators_and_products(a, b):
-    elems = set(closure([a, b]))
+    elems = {tuple(row) for row in closure([a, b]).tolist()}
     assert a in elems and b in elems
     assert compose(a, b) in elems
     assert all(inverse(g) in elems for g in elems)

@@ -1,0 +1,43 @@
+"""The scripts under scripts/ run end to end through their main()."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_validity_at_two_and_three(capsys):
+    assert load("sweep_validity").main(["--primes", "2", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "p=2: 5 classes ok" in out
+    assert "p=3: 16 classes ok" in out
+
+
+def test_deep_checks_p7(capsys):
+    assert load("deep_checks_p7").main([]) == 0
+    out = capsys.readouterr().out
+    assert "DISAGREE" not in out
+    assert "permutation group" not in out
+
+
+def test_hunt_size_nine_reports_an_incomplete_budgeted_run(capsys):
+    assert load("hunt_size_nine").main(["--max-nodes", "5", "--time-budget", "30"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["complete"] is False
+    assert report["outside_constructed_list"] == 0
+
+
+@pytest.mark.slow
+def test_deep_checks_p7_group_order(capsys):
+    assert load("deep_checks_p7").main(["--closure"]) == 0
+    assert "order 352947 = 3*7^6 is True" in capsys.readouterr().out
