@@ -5,20 +5,32 @@ on the diagonal bijection and on every square-law instance whose four
 participating rows are already placed, then dedupes by the lexicographically
 least relabeling.  Independent of the family constructors and of the refined
 isomorphism engine, so it can audit both.
+
+``canonical_form``, ``brute_iso`` and ``brute_aut`` share one blocked numpy
+scan over the n! bijections in lexicographic order (``_blocks``), so their
+outputs are the least table, the first isomorphism and the automorphisms in
+order, as a loop over ``itertools.permutations`` would give them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cycleset import CycleSet, is_indecomposable, is_irretractable
 from .errors import SizeTooLarge
-from .perms import Perm, inverse
+from .perms import Perm
 
 _BRUTE_LIMIT = 9
+# 720-bijection blocks keep a scan's arrays small enough to be reused from the
+# heap; 5040 made the n = 8 and 9 scans slower
+_TAIL = 6
+_FEW = 64  # _morphisms tests this many bijections on all n*n pairs at once
 
 
 @dataclass(frozen=True)
@@ -30,6 +42,12 @@ class SearchOptions:
     time_budget: float | None = None
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError("need max_nodes >= 0")
+        if self.time_budget is not None and not self.time_budget >= 0:  # NaN too
+            raise ValueError("need a time budget of 0 seconds or more")
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -39,61 +57,103 @@ class OracleResult:
     elapsed: float
 
 
+@functools.cache
+def _tail_table(m: int) -> np.ndarray:
+    """The m! permutations of range(m) in lexicographic order, one per int8 column."""
+    table = np.array(list(zip(*itertools.permutations(range(m)))), dtype=np.int8)
+    table.flags.writeable = False  # shared by every scan
+    return table
+
+
+def _blocks(n: int):
+    """All bijections of range(n) in lexicographic order, one block at a time.
+
+    A block is an (n, m!) intp array whose columns are the bijections: it
+    fixes the images of the first n - m points and runs the other m through
+    all their arrangements (m = min(n, _TAIL)), so at most 6! = 720
+    bijections are held at once.
+    """
+    m = min(n, _TAIL)
+    tail = _tail_table(m).astype(np.intp)
+    for prefix in itertools.permutations(range(n), n - m):
+        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.intp)
+        block = np.empty((n, tail.shape[1]), dtype=np.intp)
+        block[: n - m] = np.array(prefix, dtype=np.intp)[:, None]
+        block[n - m :] = rest[tail]
+        yield block
+
+
+def _morphisms(ta: np.ndarray, tb: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The columns P of block with P[ta[x, y]] == tb[P[x], P[y]] for every x, y.
+
+    Tested one (x, y) at a time, dropping the failing columns as it goes,
+    until few are left (most bijections fail within the first few pairs);
+    those few are tested on every pair at once.
+    """
+    for x, y in itertools.product(range(len(ta)), repeat=2):
+        if block.shape[1] <= _FEW:
+            break
+        block = block[:, block[ta[x, y]] == tb[block[x], block[y]]]
+    return block[:, (block[ta] == tb[block[:, None], block]).all(axis=(0, 1))]
+
+
 def canonical_form(cs: CycleSet) -> CycleSet:
     """Lexicographically least table over all relabelings."""
     n = cs.n
     if n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"canonical form by full scan is limited to n <= {_BRUTE_LIMIT}")
-    t = cs.table
-    best: tuple | None = None
-    for perm in itertools.permutations(range(n)):
-        inv = inverse(perm)
-        cand = []
-        decided = False
-        worse = False
-        for x in range(n):
-            src = t[inv[x]]
-            row = tuple(perm[src[inv[y]]] for y in range(n))
-            if best is not None and not decided:
-                ref = best[x]
-                if row > ref:
-                    worse = True
+    t = np.array(cs.table, dtype=np.intp)
+    # a row packed base n into one int64 (n**n < 2**63 for n <= 15) compares
+    # like the row itself
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    points = np.arange(n)[:, None]
+    best: list | None = None  # [(key, row)] of the least table so far
+    for block in _blocks(n):
+        inv = np.empty_like(block)  # column c is the inverse of block's column c
+        inv[block, np.arange(block.shape[1])] = points
+        below = best is None  # already known to beat best on an earlier row
+        rows = []
+        for u in range(n):
+            # row u of each relabeled table, P[t[P^-1(u), P^-1(v)]] over v,
+            # read from the flattened block
+            w = block.shape[1]
+            row = block.ravel()[t[inv[u], inv] * w + np.arange(w)]
+            key = powers @ row
+            i = int(key.argmin())
+            if not below:
+                if key[i] > best[u][0]:
                     break
-                if row < ref:
-                    decided = True
-            cand.append(row)
-        if not worse and (best is None or decided):
-            best = tuple(cand)
-    return CycleSet(best)
+                below = key[i] < best[u][0]
+            rows.append((key[i], row[:, i]))
+            keep = key == key[i]
+            if not keep.all():
+                block, inv = block[:, keep], inv[:, keep]
+        else:
+            if below:
+                best = rows
+    return CycleSet(tuple(tuple(row.tolist()) for _, row in best))
 
 
 def brute_iso(a: CycleSet, b: CycleSet) -> Perm | None:
-    """Exhaustive isomorphism search over all bijections (n <= 9)."""
+    """The lexicographically first isomorphism a -> b by exhaustive scan (n <= 9)."""
     if a.n != b.n:
         return None
-    n = a.n
-    if n > _BRUTE_LIMIT:
+    if a.n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"brute-force isomorphism is limited to n <= {_BRUTE_LIMIT}")
-    ta, tb = a.table, b.table
-    pts = range(n)
-    for perm in itertools.permutations(pts):
-        if all(perm[ta[x][y]] == tb[perm[x]][perm[y]] for x in pts for y in pts):
-            return perm
+    ta, tb = np.array(a.table, dtype=np.intp), np.array(b.table, dtype=np.intp)
+    for block in _blocks(a.n):
+        hits = _morphisms(ta, tb, block)
+        if hits.shape[1]:
+            return tuple(hits[:, 0].tolist())
     return None
 
 
 def brute_aut(cs: CycleSet) -> list[Perm]:
-    """All automorphisms by exhaustive scan (n <= 9)."""
-    n = cs.n
-    if n > _BRUTE_LIMIT:
+    """All automorphisms in lexicographic order, by exhaustive scan (n <= 9)."""
+    if cs.n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"brute-force automorphisms are limited to n <= {_BRUTE_LIMIT}")
-    t = cs.table
-    pts = range(n)
-    return [
-        perm
-        for perm in itertools.permutations(pts)
-        if all(perm[t[x][y]] == t[perm[x]][perm[y]] for x in pts for y in pts)
-    ]
+    t = np.array(cs.table, dtype=np.intp)
+    return [tuple(perm) for block in _blocks(cs.n) for perm in _morphisms(t, t, block).T.tolist()]
 
 
 class _Budget(Exception):

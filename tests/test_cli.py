@@ -362,6 +362,12 @@ def test_oracle_rejects_zero_jobs(capsys):
     _assert_one_line_error(code, out, err)
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_oracle_rejects_a_nan_or_negative_budget(capsys, budget):
+    code, out, err = run(capsys, "oracle", "--n", "2", "--budget", budget)
+    _assert_one_line_error(code, out, err)
+
+
 def test_oracle_jobs_are_capped_at_cpu_count(monkeypatch, capsys):
     import multiprocessing
     import os

@@ -1,7 +1,13 @@
+import itertools
+import time
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
+    CycleSet,
     OracleResult,
     SearchOptions,
     SizeTooLarge,
@@ -17,6 +23,7 @@ from cyclesets import (
     mpl2_cycle_set,
     relabel,
 )
+from cyclesets import oracle
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,28 @@ def test_time_budget_zero():
     assert not result.complete
 
 
+def test_time_budget_at_size_nine_overshoots_by_at_most_one_scan():
+    # the first complete size-9 table is the trivial one, whose canonical
+    # form keeps every relabeling to the last row: the dearest single scan
+    start = time.monotonic()
+    result = enumerate_cycle_sets(SearchOptions(n=9, time_budget=0.5))
+    assert not result.complete
+    assert time.monotonic() - start < 4.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"time_budget": float("nan")},
+        {"time_budget": -1.0},
+        {"max_nodes": -1},
+    ],
+)
+def test_search_options_reject_nan_and_negative_budgets(bad):
+    with pytest.raises(ValueError):
+        SearchOptions(n=3, **bad)
+
+
 def test_jobs_do_not_change_the_answer(n4_all):
     split = enumerate_cycle_sets(SearchOptions(n=4, jobs=2))
     assert {cs.table for cs in split.classes} == {cs.table for cs in n4_all.classes}
@@ -135,3 +164,106 @@ def test_result_shape(n4_all):
     assert isinstance(n4_all, OracleResult)
     assert n4_all.nodes > 0
     assert n4_all.elapsed >= 0.0
+
+
+def test_canonical_form_memory_is_bounded_by_the_scan_block():
+    # every relabeling of the trivial table ties on every row, so no block
+    # shrinks; a 9!-by-81 intp tensor would need 235 MB
+    trivial = CycleSet(tuple(tuple(range(9)) for _ in range(9)))
+    tracemalloc.start()
+    try:
+        form = canonical_form(trivial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert form == trivial
+    assert peak < 32 * 2**20
+
+
+# -- the exact outputs, against a plain itertools reference -------------------
+
+
+def _ref_relabel(t, perm):
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return tuple(tuple(perm[t[inv[x]][inv[y]]] for y in range(len(t))) for x in range(len(t)))
+
+
+def _ref_morphisms(ta, tb):
+    pts = range(len(ta))
+    for perm in itertools.permutations(pts):
+        if all(perm[ta[x][y]] == tb[perm[x]][perm[y]] for x in pts for y in pts):
+            yield perm
+
+
+def _all_ints(rows):
+    return all(type(v) is int for row in rows for v in row)
+
+
+_MEMBERS = {
+    4: [
+        cyclic_cycle_set(4),
+        irr_cycle_set(2, (0, 1), 1),
+        mpl2_cycle_set(2, (2,), (0, 1), 0),
+        mpl2_cycle_set(2, (2,), (0, 1), 1),
+    ],
+    5: [cyclic_cycle_set(5)],
+    6: [
+        cyclic_cycle_set(6),
+        mpl2_cycle_set(2, (3,), (0, 1), 0),
+        mpl2_cycle_set(3, (2,), (0, 1, 1), 1),
+    ],
+}
+
+
+@st.composite
+def _cycle_sets(draw, n=None):
+    """A relabeled constructed member, or x*y = s(y) for a drawn permutation s."""
+    n = draw(st.sampled_from(sorted(_MEMBERS))) if n is None else n
+    choice = draw(st.integers(-1, len(_MEMBERS[n]) - 1))
+    if choice < 0:
+        row = tuple(draw(st.permutations(range(n))))
+        table = (row,) * n
+    else:
+        table = _MEMBERS[n][choice].table
+    return _ref_relabel(table, tuple(draw(st.permutations(range(n)))))
+
+
+def _scan_blocks(data):
+    """Scan in blocks of m! bijections for a drawn m, so small sizes cross blocks."""
+    return mock.patch.object(oracle, "_TAIL", data.draw(st.sampled_from((2, 3, oracle._TAIL)), label="m"))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_brute_iso_is_the_first_isomorphism_in_lexicographic_order(data):
+    ta = data.draw(_cycle_sets())
+    n = len(ta)
+    same = data.draw(st.booleans())
+    tb = _ref_relabel(ta, tuple(data.draw(st.permutations(range(n))))) if same else data.draw(_cycle_sets(n))
+    with _scan_blocks(data):
+        got = brute_iso(CycleSet(ta), CycleSet(tb))
+    assert got == next(_ref_morphisms(ta, tb), None)
+    assert got is None or _all_ints([got])
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_brute_aut_lists_every_automorphism_in_lexicographic_order(data):
+    t = data.draw(_cycle_sets())
+    with _scan_blocks(data):
+        got = brute_aut(CycleSet(t))
+    assert got == list(_ref_morphisms(t, t))
+    assert _all_ints(got)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_is_the_least_relabeled_table(data):
+    t = data.draw(_cycle_sets())
+    assert check_cycle_set(CycleSet(t)).ok
+    with _scan_blocks(data):
+        got = canonical_form(CycleSet(t)).table
+    assert got == min(_ref_relabel(t, perm) for perm in itertools.permutations(range(len(t))))
+    assert _all_ints(got)
