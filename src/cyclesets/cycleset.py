@@ -16,6 +16,9 @@ from .perms import Perm, _UnionFind, inverse, is_perm, is_transitive
 
 _Table = tuple[tuple[int, ...], ...]
 
+# Triples per chunk of the n^3 scans in check_cycle_set and check_solution.
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CycleSet:
@@ -62,10 +65,33 @@ class ValidityReport:
         return self.square_law_ok and self.rows_bijective_ok and self.diagonal_bijective_ok
 
 
+def _first_mismatch(n: int, mismatches) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) at which an n^3 check fails.
+
+    The flat pair indices x*n + y are cut into consecutive chunks of about
+    ``_CHUNK`` triples, each chunk covering every z.  ``mismatches`` is a
+    generator function: given the iterator of chunks, it yields for each one
+    the pairs it checked (a subset of the chunk, in order) and a boolean
+    array of shape (len(pairs), n) marking the failing z.  Being a generator,
+    it keeps one chunk's arrays alive while the next is computed, so the
+    allocator does not hand the chunk's memory back to the system and fault
+    it in again on every chunk.
+    """
+    step = max(1, _CHUNK // n)
+    chunks = (np.arange(s, min(s + step, n * n)) for s in range(0, n * n, step))
+    for pairs, bad in mismatches(chunks):
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i, z = divmod(int(hit[0]), n)
+            x, y = divmod(int(pairs[i]), n)
+            return x, y, z
+    return None
+
+
 def check_cycle_set(cs: CycleSet) -> ValidityReport:
     """Check all three axioms, reporting a first witness for each failure."""
     n = cs.n
-    t = np.array(cs.table, dtype=np.int64)
+    t = np.array(cs.table, dtype=np.intp)
 
     rows_sorted = np.sort(t, axis=1)
     row_ok = (rows_sorted == np.arange(n)).all(axis=1)
@@ -84,19 +110,22 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
             break
         seen[v] = x
 
-    # square law: t[t[x,y], t[x,z]] == t[t[y,x], t[y,z]] for all x,y,z
-    u = t[t]  # u[x,y,:] = row of x*y
-    idx = np.broadcast_to(t[:, None, :], (n, n, n))
-    lhs = np.take_along_axis(u, idx, axis=2)  # lhs[x,y,z] = (x*y)*(x*z)
-    rhs = lhs.transpose(1, 0, 2)
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        x, y, z = (int(v) for v in bad[0])
-        c1_ok, c1_wit = False, (x, y, z)
-    else:
-        c1_ok, c1_wit = True, None
+    # square law (x*y)*(x*z) == (y*x)*(y*z).  Swapping x and y swaps the two
+    # sides, so the first failing triple has x < y and only those pairs are
+    # evaluated.  A product a*b is the gather flat[a*n + b]; t[x] is the row.
+    flat = t.ravel()
 
-    return ValidityReport(c1_ok, c1_wit, c2_ok, c2_wit, c3_ok, c3_wit)
+    def mismatches(chunks):
+        for pairs in chunks:
+            x, y = np.divmod(pairs, n)
+            keep = x < y
+            pairs, x, y = pairs[keep], x[keep], y[keep]
+            lhs = flat[(flat[pairs] * n)[:, None] + t[x]]
+            rhs = flat[(flat[y * n + x] * n)[:, None] + t[y]]
+            yield pairs, lhs != rhs
+
+    c1_wit = _first_mismatch(n, mismatches)
+    return ValidityReport(c1_wit is None, c1_wit, c2_ok, c2_wit, c3_ok, c3_wit)
 
 
 def _is_morphism(ta, tb, f) -> bool:

@@ -17,13 +17,14 @@ group's brace.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import prod
 
 from .brace import build_perm_brace
 from .cycleset import CycleSet, _is_morphism, check_cycle_set
 from .counting import is_prime
-from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism
+from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism, SizeTooLarge
 from .perms import Perm, inverse, is_perm
 from .solutions import Solution, check_solution, to_solution
 
@@ -102,6 +103,8 @@ class AbGroup:
 def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
     """Normalise scalar phi entries / s into rank-1 tuples."""
     inv = tuple(int(d) for d in a_invariants)
+    if not inv or min(inv) < 1:
+        raise InvariantViolation(f"group invariants must be positive, got {list(inv)}")
 
     def as_elem(v):
         if isinstance(v, int):
@@ -110,6 +113,8 @@ def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
             if len(inv) != 1:
                 raise ValueError("scalar element given for a group of rank > 1")
             return (v % inv[0],)
+        if len(v) != len(inv):
+            raise ValueError("element has wrong rank")
         return tuple(int(x) % d for x, d in zip(v, inv))
 
     return Mpl2Params(int(m), inv, tuple(as_elem(v) for v in phi), as_elem(s))
@@ -191,12 +196,31 @@ def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
     return CycleSet(tuple(table))
 
 
+def _check_table_fits(n: int) -> None:
+    """Refuse an n-point family before its n x n table is built.
+
+    The table holds at least one 8-byte reference per entry, so it cannot
+    fit when 8*n*n exceeds the machine's physical memory.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * n > memory:
+        raise SizeTooLarge(
+            f"a table on {n} points needs over {8 * n * n} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def to_cycle_set(params: FamilyParams) -> CycleSet:
     if isinstance(params, CyclicParams):
+        _check_table_fits(params.p * params.p)
+        if not is_prime(params.p):
+            raise ValueError(f"{params.p} is not prime")
         return cyclic_cycle_set(params.p * params.p)
     if isinstance(params, Mpl2Params):
+        _check_table_fits(params.m * prod(params.a_invariants))
         return mpl2_cycle_set(params.m, params.a_invariants, params.phi, params.s)
     if isinstance(params, IrrParams):
+        _check_table_fits(params.p * params.p)
         return irr_cycle_set(params.p, params.phi, params.alpha)
     raise TypeError(f"not family parameters: {params!r}")
 
@@ -221,15 +245,39 @@ def params_to_dict(params: FamilyParams) -> dict:
     raise TypeError(f"not family parameters: {params!r}")
 
 
+def _json_int(value, field: str) -> int:
+    """An integer read from a document.  Floats, strings and booleans raise
+    TypeError rather than being truncated or read as 0/1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"field {field!r} holds {value!r}, not an integer")
+
+
+def _json_elem(value, field: str):
+    """A scalar or a list of integers, as an int or a tuple."""
+    if isinstance(value, list):
+        return tuple(_json_int(v, field) for v in value)
+    return _json_int(value, field)
+
+
 def params_from_dict(data: dict) -> FamilyParams:
     family = data.get("family")
     try:
         if family == "cyclic":
-            return CyclicParams(int(data["p"]))
+            return CyclicParams(_json_int(data["p"], "p"))
         if family == "mpl2":
-            return mpl2_params(data["m"], data["a_invariants"], data["phi"], data["s"])
+            return mpl2_params(
+                _json_int(data["m"], "m"),
+                [_json_int(d, "a_invariants") for d in data["a_invariants"]],
+                [_json_elem(v, "phi") for v in data["phi"]],
+                _json_elem(data["s"], "s"),
+            )
         if family == "irr":
-            return IrrParams(int(data["p"]), tuple(int(v) for v in data["phi"]), int(data.get("alpha", 1)))
+            return IrrParams(
+                _json_int(data["p"], "p"),
+                tuple(_json_int(v, "phi") for v in data["phi"]),
+                _json_int(data.get("alpha", 1), "alpha"),
+            )
     except KeyError as exc:
         raise InvariantViolation(f"{family} document lacks the field {exc.args[0]!r}") from None
     except TypeError as exc:

@@ -15,7 +15,7 @@ from .brace import PermBrace
 from .counting import CountReport
 from .cycleset import CycleSet
 from .errors import InvariantViolation
-from .families import FamilyParams, params_from_dict, params_to_dict
+from .families import FamilyParams, _json_int, params_from_dict, params_to_dict
 from .solutions import Solution
 
 Document = CycleSet | Solution | FamilyParams
@@ -62,9 +62,13 @@ def _int_rows(doc: dict, key: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvariantViolation(f"field {key!r} must be a list of rows")
     try:
-        return tuple(tuple(int(v) for v in row) for row in rows)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolation(f"field {key!r} holds a non-integer entry") from exc
+        rows = tuple(tuple(_json_int(v, key) for v in row) for row in rows)
+        n = _json_int(doc.get("n", len(rows)), "n")
+    except TypeError as exc:
+        raise InvariantViolation(str(exc)) from None
+    if n != len(rows):
+        raise InvariantViolation(f"field 'n' is {n}, but {key!r} has {len(rows)} rows")
+    return rows
 
 
 def document_from_dict(doc: dict) -> Document:

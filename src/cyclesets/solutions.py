@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycleset import CycleSet, assert_valid, check_cycle_set
+from .cycleset import CycleSet, _first_mismatch, assert_valid, check_cycle_set
 from .errors import InvariantViolation
 from .perms import inverse
 
@@ -58,19 +58,11 @@ class SolutionReport:
         return self.nondegenerate_ok and self.involutive_ok and self.braiding_ok
 
 
-def _apply12(lam, rho, x, y, z):
-    return lam[x, y], rho[y, x], z
-
-
-def _apply23(lam, rho, x, y, z):
-    return x, lam[y, z], rho[z, y]
-
-
 def check_solution(sol: Solution) -> SolutionReport:
     """Nondegeneracy, involutivity, and the braid relation on all triples."""
     n = sol.n
-    lam = np.array(sol.lam, dtype=np.int64)
-    rho = np.array(sol.rho, dtype=np.int64)
+    lam = np.array(sol.lam, dtype=np.intp)
+    rho = np.array(sol.rho, dtype=np.intp)
 
     ar = np.arange(n)
     nd_ok, nd_wit = True, None
@@ -81,26 +73,34 @@ def check_solution(sol: Solution) -> SolutionReport:
     elif not rho_rows.all():
         nd_ok, nd_wit = False, ("rho", int(np.argmin(rho_rows)))
 
-    x, y = np.meshgrid(ar, ar, indexing="ij")
-    x1, y1 = lam[x, y], rho[y, x]
-    x2, y2 = lam[x1, y1], rho[y1, x1]
-    bad = np.argwhere((x2 != x) | (y2 != y))
+    # r(x, y) = (L[x*n + y], R[x*n + y]) on the flat pair index, packed as
+    # P = L*n + R, so that r(r(x, y)) = (x, y) reads P[P] = identity.
+    L, R = lam.ravel(), rho.T.ravel()
+    rho_t = R.reshape(n, n)  # rho_t[y, z] = rho_z(y)
+    P = L * n + R
+    bad = np.flatnonzero(P[P] != np.arange(n * n))
     if bad.size:
-        inv_ok, inv_wit = False, (int(bad[0][0]), int(bad[0][1]))
+        inv_ok, inv_wit = False, divmod(int(bad[0]), n)
     else:
         inv_ok, inv_wit = True, None
 
-    xg, yg, zg = np.meshgrid(ar, ar, ar, indexing="ij")
-    state = _apply12(lam, rho, *_apply23(lam, rho, *_apply12(lam, rho, xg, yg, zg)))
-    other = _apply23(lam, rho, *_apply12(lam, rho, *_apply23(lam, rho, xg, yg, zg)))
-    mismatch = (state[0] != other[0]) | (state[1] != other[1]) | (state[2] != other[2])
-    bad = np.argwhere(mismatch)
-    if bad.size:
-        br_ok, br_wit = False, tuple(int(v) for v in bad[0])
-    else:
-        br_ok, br_wit = True, None
+    # r12 r23 r12 against r23 r12 r23 at (x, y, z), z along the second axis,
+    # each side's triple (a, b, c) packed as a*n^2 + b*n + c.  The first step
+    # of each side depends on one pair only: r(x, y) on the left, and on the
+    # right r(y, -), which is row y of lam and of rho_t.
+    def mismatches(chunks):
+        for pairs in chunks:
+            x, y = np.divmod(pairs, n)
+            a, b = L[pairs], R[pairs]  # r12: (a, b, z)
+            # r23: (a, lam[b], rho_t[b]), then r12 on the first two
+            left = P[(a * n)[:, None] + lam[b]] * n + rho_t[b]
+            # r23: (x, lam[y], rho_t[y]), r12 on the first two, r23 on the last two
+            i = (x * n)[:, None] + lam[y]
+            right = L[i] * (n * n) + P[R[i] * n + rho_t[y]]
+            yield pairs, left != right
 
-    return SolutionReport(nd_ok, nd_wit, inv_ok, inv_wit, br_ok, br_wit)
+    br_wit = _first_mismatch(n, mismatches)
+    return SolutionReport(nd_ok, nd_wit, inv_ok, inv_wit, br_wit is None, br_wit)
 
 
 def to_solution(cs: CycleSet, check: bool = True) -> Solution:

@@ -380,3 +380,63 @@ def test_oracle_jobs_are_capped_at_cpu_count(monkeypatch, capsys):
     code, out, _ = run(capsys, "oracle", "--n", "3", "--jobs", "64")
     assert code == 0
     assert json.loads(out.strip().split("\n")[-1])["classes"] == 5
+
+
+def _verify_stdin(monkeypatch, capsys, doc):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    return run(capsys, "verify", "--in", "-")
+
+
+@pytest.mark.parametrize("p", [1000000, 1000003])
+def test_verify_refuses_a_table_larger_than_memory(monkeypatch, capsys, p):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = _verify_stdin(monkeypatch, capsys, json.dumps({"family": "cyclic", "p": p}))
+    assert time.perf_counter() - start < 2.0
+    _assert_one_line_error(code, out, err)
+    assert "physical memory" in err
+
+
+@pytest.mark.parametrize("p", ["4", "1000"])
+def test_cyclic_family_needs_a_prime(capsys, p):
+    code, out, err = run(capsys, "verify", "--family", "cyclic", "--p", p)
+    _assert_one_line_error(code, out, err)
+    if p == "4":
+        assert "4 is not prime" in err
+
+
+def test_mpl2_document_with_a_zero_invariant_is_one_line_error(monkeypatch, capsys):
+    doc = '{"family":"mpl2","m":3,"a_invariants":[0],"phi":[0,1,1],"s":0}'
+    code, out, err = _verify_stdin(monkeypatch, capsys, doc)
+    _assert_one_line_error(code, out, err)
+    assert "invariants must be positive" in err
+
+
+def test_non_integral_alpha_is_refused(monkeypatch, capsys):
+    doc = '{"family":"irr","p":3,"phi":[0,1,1],"alpha":1.5}'
+    code, out, err = _verify_stdin(monkeypatch, capsys, doc)
+    _assert_one_line_error(code, out, err)
+    assert "'alpha' holds 1.5" in err
+
+
+def test_boolean_table_entries_are_refused(monkeypatch, capsys):
+    doc = '{"kind":"cycle_set","n":2,"table":[[true,false],[true,false]]}'
+    code, out, err = _verify_stdin(monkeypatch, capsys, doc)
+    _assert_one_line_error(code, out, err)
+    assert "'table' holds True" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"kind":"cycle_set","n":3,"table":[[1,0],[1,0]]}',
+        '{"kind":"solution","n":1,"lam":[[1,0],[1,0]],"rho":[[1,0],[1,0]]}',
+    ],
+)
+def test_document_size_must_match_its_table(monkeypatch, capsys, doc):
+    code, out, err = _verify_stdin(monkeypatch, capsys, doc)
+    _assert_one_line_error(code, out, err)
+    assert "field 'n'" in err

@@ -273,3 +273,32 @@ def test_abgroup_guards():
         AbGroup((0,))
     with pytest.raises(ValueError):
         AbGroup((2,)).reduce((1, 1))
+
+
+def test_family_tables_are_refused_beyond_physical_memory(monkeypatch):
+    """The size guard reads physical memory from os.sysconf before building."""
+    import os
+
+    from cyclesets import SizeTooLarge
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # room for 8 * 22**2 bytes
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    assert to_cycle_set(CyclicParams(3)).n == 9
+    for params in (
+        CyclicParams(5),
+        mpl2_params(5, (5,), (0, 1, 2, 2, 1), 1),
+        IrrParams(5, (0, 1, 4, 4, 1), 1),
+    ):
+        with pytest.raises(SizeTooLarge, match="physical memory"):
+            to_cycle_set(params)
+
+
+def test_composite_cyclic_parameter_is_refused():
+    with pytest.raises(ValueError, match="9 is not prime"):
+        to_cycle_set(CyclicParams(9))
+
+
+@pytest.mark.parametrize("invariants", [(0,), (3, -1), ()])
+def test_mpl2_invariants_are_checked_before_reducing(invariants):
+    with pytest.raises(InvariantViolation, match="invariants must be positive"):
+        mpl2_params(3, invariants, (0, 1, 1), 0)

@@ -86,3 +86,36 @@ def test_count_report_dict_keys():
         "n_irr": 3,
         "total": 16,
     }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"family": "irr", "p": 3, "phi": [0, 1, 1], "alpha": 1.5},
+        {"family": "irr", "p": 3.0, "phi": [0, 1, 1]},
+        {"family": "irr", "p": 3, "phi": [0, True, True]},
+        {"family": "cyclic", "p": "3"},
+        {"family": "mpl2", "m": 3, "a_invariants": [3], "phi": [0, 1.0, 1], "s": 0},
+    ],
+)
+def test_family_fields_are_not_coerced(doc):
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        document_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 0.5])
+def test_table_entries_are_not_coerced(entry):
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        document_from_dict({"kind": "cycle_set", "n": 2, "table": [[1, 0], [entry, 0]]})
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        document_from_dict({"kind": "solution", "n": 2, "lam": [[1, 0], [0, 1]], "rho": [[1, 0], [entry, 1]]})
+
+
+def test_document_size_is_checked_against_the_table():
+    with pytest.raises(InvariantViolation, match="field 'n' is 3"):
+        document_from_dict({"kind": "cycle_set", "n": 3, "table": [[1, 0], [1, 0]]})
+    with pytest.raises(InvariantViolation, match="field 'n' is 1"):
+        document_from_dict({"kind": "solution", "n": 1, "lam": [[1, 0], [0, 1]], "rho": [[1, 0], [0, 1]]})
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        document_from_dict({"kind": "cycle_set", "n": 2.0, "table": [[1, 0], [1, 0]]})
+    assert document_from_dict({"kind": "cycle_set", "n": 2, "table": [[1, 0], [1, 0]]}).n == 2
