@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _prime_factors
 from .cycleset import CycleSet, assert_valid
 from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
-from .perms import closure, inverse
+from .perms import closure, inverse_rows
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,7 @@ class PermBrace:
         buf = elems.tobytes()
         # row bytes -> element index
         self._index = {buf[i * stride : (i + 1) * stride]: i for i in range(order)}
-        self.inv_elems = np.empty_like(elems)
-        rng = np.arange(order)
-        self.inv_elems[rng[:, None], elems] = np.arange(n_points, dtype=elems.dtype)[None, :]
+        self.inv_elems = inverse_rows(elems)
         self.gidx = self._lookup_many(gens)  # gidx[x] = index of g_x = (x*(-))^{-1}
         self.zero = 0
         self._words: dict[int, tuple[int, ...]] = {}
@@ -193,10 +190,6 @@ class PermBrace:
             acc = self.add(acc, self._neg_gen[int(self.gidx[z])])
         return acc
 
-    def star(self, i: int, j: int) -> int:
-        """i * j = lambda_i(j) - j."""
-        return self.add(self.lam(i, j), self.neg(j))
-
     def add_pow(self, k: int, i: int) -> int:
         """The additive multiple k·i (k may be negative)."""
         if k < 0:
@@ -208,18 +201,6 @@ class PermBrace:
             base = self.add(base, base)
             k >>= 1
         return acc
-
-    def add_order(self, i: int) -> int:
-        d = self.order
-        for q in _prime_factors(self.order):
-            while d % q == 0 and self.add_pow(d // q, i) == self.zero:
-                d //= q
-        return d
-
-    def circ_order(self, i: int) -> int:
-        from .perms import perm_order
-
-        return perm_order(self.perm(i))
 
     # -- whole-row maps (O(order) each) ---------------------------------------
 
@@ -267,19 +248,9 @@ class PermBrace:
         """Elements whose point permutation maps every given block onto itself."""
         block_of = np.empty(self.n_points, dtype=np.int64)
         for bid, block in enumerate(system):
-            for pt in block:
-                block_of[pt] = bid
+            block_of[list(block)] = bid
         mask = (block_of[self.elems] == block_of[None, :]).all(axis=1)
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
-
-    def additive_sylow(self, p: int) -> BraceSubset:
-        """Elements whose additive order is a power of p."""
-        target = self.order
-        while target % p == 0:
-            target //= p
-        target = self.order // target  # largest p-power dividing the group order
-        hits = [i for i in range(self.order) if self.add_pow(target, i) == self.zero]
-        return self.classify_subset(hits, known_add_subgroup=True)
 
     def circ_center(self) -> BraceSubset:
         """Elements commuting with everything under the circle product."""
@@ -287,20 +258,6 @@ class PermBrace:
         for g in np.unique(self.gidx):
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
-
-    def additive_span(self, indices) -> tuple[int, ...]:
-        """Additive subgroup generated by the given elements."""
-        seen = {self.zero}
-        frontier = [self.zero]
-        gens = [int(i) for i in indices]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(seen))
 
     def circ_span(self, indices) -> tuple[int, ...]:
         """Subgroup generated under o by the given elements."""
@@ -399,7 +356,7 @@ class PermBrace:
 def build_perm_brace(cs: CycleSet) -> PermBrace:
     """Close the inverse rows under composition and attach the brace structure."""
     assert_valid(cs)
-    gens = np.array([inverse(row) for row in cs.table], dtype=np.int32)
+    gens = inverse_rows(np.array(cs.table, dtype=np.int32))
     return PermBrace(closure(gens), gens)
 
 

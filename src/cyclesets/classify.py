@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+import numpy as np
+
 from .cycleset import (
     CycleSet,
     _is_morphism,
@@ -23,7 +25,9 @@ from .cycleset import (
     is_indecomposable,
     multipermutation_level,
 )
-from .counting import _irr_orbit_minima, _mpl2_orbit_minima, count_formula, is_prime
+from .counting import (
+    _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
+)
 from .errors import BoundExceeded, NoMatch, NotIndecomposable, NotSizePSquared
 from .families import (
     CyclicParams,
@@ -210,6 +214,8 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
 
     Raises BoundExceeded when the class count is larger than ``bound``.
     """
+    if count_has_more_digits(p, len(str(bound)), family):
+        raise BoundExceeded(f"more than {bound} classes at p = {p}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if family not in ("all", "cyclic", "mpl2", "irr"):
@@ -222,7 +228,7 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
         "irr": report.n_irr,
     }[family]
     if expect > bound:
-        raise BoundExceeded(f"{expect} classes exceed the bound {bound}")
+        raise BoundExceeded(f"more than {bound} classes at p = {p}")
     out: list[FamilyParams] = []
     if family in ("all", "cyclic"):
         out.append(CyclicParams(p))
@@ -256,17 +262,13 @@ def _recover_alpha(cs: CycleSet, p: int) -> int:
     """Twist of an irretractable member, read off the block action."""
     from .perms import block_systems
 
-    gens = cs.sigma_perms()
+    gens = cs.table
     systems = block_systems(gens, cs.n)
     blocks = systems[0]
-    pos = {}
+    pos = np.empty(cs.n, dtype=np.intp)
     for i, block in enumerate(blocks):
-        for x in block:
-            pos[x] = i
-    induced = []
-    for gen in gens:
-        img = [pos[gen[block[0]]] for block in blocks]
-        induced.append(tuple(img))
+        pos[list(block)] = i
+    induced = list(map(tuple, pos[np.array(gens)[:, [block[0] for block in blocks]]].tolist()))
     quotient = [tuple(h) for h in closure(induced, cap=100_000).tolist()]
     translations = [
         h for h in quotient if h == tuple(range(p)) or (perm_order(h) == p and all(h[i] != i for i in range(p)))

@@ -13,7 +13,7 @@ import sys
 
 from .brace import build_perm_brace, verify_brace
 from .classify import automorphisms, classify_size_p2, enumerate_classes, iso_cycle_sets
-from .counting import count_formula, is_prime
+from .counting import count_formula, count_has_more_digits, is_prime
 from .cycleset import CycleSet, check_cycle_set, multipermutation_level, retraction
 from .families import (
     CyclicParams,
@@ -65,13 +65,11 @@ def _emit_cycle_set(cs: CycleSet, args) -> None:
             dump_line(cycle_set_to_dict(cs), out)
 
 
-def _load_cycle_set(path: str) -> CycleSet:
-    obj = load_document(path)
-    if isinstance(obj, CycleSet):
-        return obj
+def _cycle_set_of(obj) -> CycleSet:
+    """A document as a cycle set: solutions and family parameters are converted."""
     if isinstance(obj, Solution):
         return from_solution(obj)
-    return to_cycle_set(obj)
+    return obj if isinstance(obj, CycleSet) else to_cycle_set(obj)
 
 
 def _input_object(args, parser: argparse.ArgumentParser):
@@ -151,13 +149,8 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_convert(args, parser) -> int:
     obj = _input_object(args, parser)
-    if isinstance(obj, Solution):
-        cs = from_solution(obj)
-        _emit_cycle_set(cs, args)
-        return 0
     if not isinstance(obj, CycleSet):
-        obj = to_cycle_set(obj)
-        _emit_cycle_set(obj, args)
+        _emit_cycle_set(_cycle_set_of(obj), args)
         return 0
     sol = to_solution(obj)
     with _out_stream(args.out) as out:
@@ -168,8 +161,15 @@ def cmd_convert(args, parser) -> int:
     return 0
 
 
+def _class_budget(text: str) -> int:
+    """The --budget of enumerate: a whole, non-negative number of classes."""
+    if not text.isdecimal():
+        raise ValueError(f"--budget takes a non-negative whole number of classes, not {text!r}")
+    return int(text)
+
+
 def cmd_enumerate(args, parser) -> int:
-    bound = int(args.budget) if args.budget is not None else 1_000_000
+    bound = _class_budget(args.budget) if args.budget is not None else 1_000_000
     classes = enumerate_classes(args.p, family=args.family or "all", bound=bound)
     with _out_stream(args.out) as out:
         for params in classes:
@@ -190,9 +190,10 @@ def _largest_printable_prime(limit: int) -> int:
 
 
 def cmd_count(args, parser) -> int:
-    report = count_formula(args.p)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and report.total >= 10**limit:
+    # the digit bound comes first: count_formula runs for ever at a huge p
+    report = None if limit and count_has_more_digits(args.p, limit) else count_formula(args.p)
+    if report is None or (limit and report.total >= 10**limit):
         raise ValueError(
             f"the counts at p = {args.p} are too long to print (over {limit} digits); "
             f"the largest supported p is {_largest_printable_prime(limit)}"
@@ -203,7 +204,7 @@ def cmd_count(args, parser) -> int:
 
 
 def cmd_classify(args, parser) -> int:
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     params = classify_size_p2(cs)
     with _out_stream(args.out) as out:
         dump_line(params_to_dict(params), out)
@@ -211,8 +212,8 @@ def cmd_classify(args, parser) -> int:
 
 
 def cmd_iso(args, parser) -> int:
-    a = _load_cycle_set(args.infile[0])
-    b = _load_cycle_set(args.infile[1])
+    a = _cycle_set_of(load_document(args.infile[0]))
+    b = _cycle_set_of(load_document(args.infile[1]))
     perm = iso_cycle_sets(a, b)
     with _out_stream(args.out) as out:
         doc = {"isomorphic": perm is not None, "map": list(perm) if perm else None}
@@ -221,7 +222,7 @@ def cmd_iso(args, parser) -> int:
 
 
 def cmd_aut(args, parser) -> int:
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     auts = automorphisms(cs)
     with _out_stream(args.out) as out:
         doc = {
@@ -235,7 +236,7 @@ def cmd_aut(args, parser) -> int:
 
 
 def cmd_retract(args, parser) -> int:
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     ret, proj = retraction(cs)
     print(f"projection: {list(proj)}", file=sys.stderr)
     print(f"multipermutation level: {multipermutation_level(cs)}", file=sys.stderr)
@@ -244,7 +245,7 @@ def cmd_retract(args, parser) -> int:
 
 
 def cmd_cable(args, parser) -> int:
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     _emit_cycle_set(cable(cs, args.k), args)
     return 0
 
@@ -252,7 +253,7 @@ def cmd_cable(args, parser) -> int:
 def cmd_deform(args, parser) -> int:
     if args.phi is None:
         parser.error("deform needs --phi (permutation as image list)")
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     _emit_cycle_set(deform(cs, args.phi), args)
     return 0
 
@@ -279,7 +280,7 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_brace(args, parser) -> int:
-    cs = _load_cycle_set(args.infile)
+    cs = _cycle_set_of(load_document(args.infile))
     brace = build_perm_brace(cs)
     verify_brace(brace)
     with _out_stream(args.out) as out:
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--family", choices=("cyclic", "mpl2", "irr", "all"), default="all")
-    sub.add_argument("--budget", type=float, help="refuse runs with more classes than this")
+    sub.add_argument("--budget", help="refuse runs with more classes than this")
     sub.set_defaults(func=cmd_enumerate)
 
     sub = commands.add_parser("count", help="closed-form class counts for a prime")

@@ -10,6 +10,7 @@ classifier reads its class representatives off the same scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,14 @@ def count_formula(p: int) -> CountReport:
     n_zero, rem = divmod(acc, p - 1)
     assert rem == 0
     return CountReport(p, 1, n_mpl2, n_even, n_zero)
+
+
+def count_has_more_digits(p: int, digits: int, family: str = "all") -> bool:
+    """True when the family's class count at p surely has more than ``digits``
+    decimal digits, decided without the count or a primality test: the
+    level-two count exceeds p^(p-2), the irretractable one p^((p-3)/2)."""
+    exponent = {"all": p - 2, "mpl2": p - 2, "irr": (p - 3) / 2}.get(family, 0)
+    return p > 2 and exponent * math.log10(p) > digits + 1  # a digit of slack for rounding
 
 
 def _digit_rows(p: int, width: int) -> np.ndarray:

@@ -12,12 +12,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InducedTableIllDefined, InvariantViolation
-from .perms import Perm, _UnionFind, inverse, is_perm, is_transitive
+from .perms import Perm, _UnionFind, is_perm, is_transitive
 
 _Table = tuple[tuple[int, ...], ...]
 
 # Triples per chunk of the n^3 scans in check_cycle_set and check_solution.
 _CHUNK = 1 << 14
+
+
+def _table(rows, what: str) -> _Table:
+    """An n x n table of integers in 0..n-1, as a tuple of int tuples.
+
+    ``rows`` is any array-like, Python or numpy.  Raises ValueError for an
+    empty table, a ragged or non-square one, entries out of range, and
+    entries that are not integers (floats and bools are not truncated).
+    """
+    try:
+        t = np.asarray(rows)
+    except ValueError:  # ragged rows
+        raise ValueError(f"malformed {what} table") from None
+    if t.ndim >= 1 and len(t) == 0:
+        raise ValueError(f"a {what} needs at least one point")
+    square = t.ndim == 2 and t.shape[0] == t.shape[1]
+    # bool is not an integer dtype
+    if not square or not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= len(t):
+        raise ValueError(f"malformed {what} table")
+    return tuple(map(tuple, t.tolist()))
 
 
 @dataclass(frozen=True)
@@ -27,28 +47,15 @@ class CycleSet:
     table: _Table
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.table)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("a cycle set needs at least one point")
-        for row in rows:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError("malformed cycle set table")
-        object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "table", _table(self.table, "cycle set"))
 
     @property
     def n(self) -> int:
         return len(self.table)
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def sigma(self, x: int) -> Perm:
         """The left translation y -> x*y as a permutation tuple."""
         return self.table[x]
-
-    def sigma_perms(self) -> tuple[Perm, ...]:
-        return self.table
 
 
 @dataclass(frozen=True)
@@ -93,22 +100,13 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
     n = cs.n
     t = np.array(cs.table, dtype=np.intp)
 
-    rows_sorted = np.sort(t, axis=1)
-    row_ok = (rows_sorted == np.arange(n)).all(axis=1)
-    if row_ok.all():
-        c2_ok, c2_wit = True, None
-    else:
-        c2_ok, c2_wit = False, int(np.argmin(row_ok))
+    row_ok = (np.sort(t, axis=1) == np.arange(n)).all(axis=1)
+    c2_wit = None if row_ok.all() else int(np.argmin(row_ok))
 
-    diag = t[np.arange(n), np.arange(n)]
-    c3_ok, c3_wit = True, None
-    seen: dict[int, int] = {}
-    for x in range(n):
-        v = int(diag[x])
-        if v in seen:
-            c3_ok, c3_wit = False, (seen[v], x)
-            break
-        seen[v] = x
+    # the first point whose diagonal entry repeats an earlier one's, and that one
+    _, first, which = np.unique(np.diagonal(t), return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[which] != np.arange(n))
+    c3_wit = (int(first[which[repeats[0]]]), int(repeats[0])) if repeats.size else None
 
     # square law (x*y)*(x*z) == (y*x)*(y*z).  Swapping x and y swaps the two
     # sides, so the first failing triple has x < y and only those pairs are
@@ -125,13 +123,13 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
             yield pairs, lhs != rhs
 
     c1_wit = _first_mismatch(n, mismatches)
-    return ValidityReport(c1_wit is None, c1_wit, c2_ok, c2_wit, c3_ok, c3_wit)
+    return ValidityReport(c1_wit is None, c1_wit, c2_wit is None, c2_wit, c3_wit is None, c3_wit)
 
 
 def _is_morphism(ta, tb, f) -> bool:
     """f(x*y) = f(x)*'f(y) for all x, y, with tables ta and tb."""
-    n = len(ta)
-    return all(f[ta[x][y]] == tb[f[x]][f[y]] for x in range(n) for y in range(n))
+    f = np.asarray(f)
+    return bool((f[np.asarray(ta)] == np.asarray(tb)[f[:, None], f]).all())
 
 
 def assert_valid(cs: CycleSet) -> CycleSet:
@@ -143,23 +141,21 @@ def assert_valid(cs: CycleSet) -> CycleSet:
 
 def sigma_gens(cs: CycleSet) -> list[Perm]:
     """The row permutations x -> sigma_x, duplicates preserved."""
-    return list(cs.sigma_perms())
+    return list(cs.table)
 
 
 def is_indecomposable(cs: CycleSet) -> bool:
     """True when the row permutations act transitively on the points."""
-    return is_transitive(cs.sigma_perms(), cs.n)
+    return is_transitive(cs.table, cs.n)
 
 
 def relabel(cs: CycleSet, perm: Perm) -> CycleSet:
     """Transport the table along x -> perm[x]."""
     if not is_perm(perm) or len(perm) != cs.n:
         raise ValueError("relabel needs a permutation of the points")
-    inv = inverse(perm)
-    t = cs.table
-    return CycleSet(
-        tuple(tuple(perm[t[inv[x]][inv[y]]] for y in range(cs.n)) for x in range(cs.n))
-    )
+    perm = np.array(perm)
+    inv = np.argsort(perm)
+    return CycleSet(perm[np.array(cs.table)[np.ix_(inv, inv)]])
 
 
 def retraction(cs: CycleSet) -> tuple[CycleSet, tuple[int, ...]]:
@@ -169,10 +165,8 @@ def retraction(cs: CycleSet) -> tuple[CycleSet, tuple[int, ...]]:
     the class of x*y fails to depend only on the classes of x and y (cannot
     happen for a valid cycle set).
     """
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for x, row in enumerate(cs.table):
-        classes.setdefault(row, []).append(x)
-    return _induced_table(cs, list(classes.values()))
+    classes: dict[tuple[int, ...], int] = {}
+    return _induced_table(cs, [classes.setdefault(row, len(classes)) for row in cs.table])
 
 
 def multipermutation_level(cs: CycleSet) -> int | None:
@@ -209,14 +203,14 @@ def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
 
 def restrict(cs: CycleSet, points) -> CycleSet:
     """The induced table on a *-closed subset, reindexed to 0..k-1."""
-    points = list(points)
-    index = {p: i for i, p in enumerate(points)}
-    try:
-        table = tuple(
-            tuple(index[cs.table[x][y]] for y in points) for x in points
-        )
-    except KeyError as exc:
-        raise ValueError(f"subset is not closed: point {exc} escapes") from exc
+    points = np.array(points, dtype=np.intp)
+    products = np.array(cs.table)[np.ix_(points, points)]
+    index = np.full(cs.n, -1)
+    index[points] = np.arange(len(points))
+    table = index[products]
+    escapes = products[table < 0]
+    if escapes.size:
+        raise ValueError(f"subset is not closed: point {escapes[0]} escapes")
     return CycleSet(table)
 
 
@@ -232,24 +226,23 @@ def _join_partitions(a, b, n: int):
     return tuple(sorted(tuple(sorted(v)) for v in blocks.values()))
 
 
-def _induced_table(cs: CycleSet, partition) -> tuple[CycleSet, tuple[int, ...]]:
+def _induced_table(cs: CycleSet, cls) -> tuple[CycleSet, tuple[int, ...]]:
     """The table induced on the blocks, and each point's block index.
 
-    Block representatives are the first members.  Raises
-    InducedTableIllDefined at the first pair (x, y) whose product's block is
-    not determined by the blocks of x and y.
+    ``cls[x]`` is the block of point x, blocks numbered 0..k-1; a block's
+    representative is its least point.  Raises InducedTableIllDefined at the
+    first pair (x, y) whose product's block is not determined by the blocks
+    of x and y.
     """
-    n = cs.n
-    cls = [0] * n
-    for i, block in enumerate(partition):
-        for x in block:
-            cls[x] = i
-    induced = [[cls[cs.table[block[0]][other[0]]] for other in partition] for block in partition]
-    for x in range(n):
-        for y in range(n):
-            if cls[cs.table[x][y]] != induced[cls[x]][cls[y]]:
-                raise InducedTableIllDefined((cls[x], cls[y]), (x, y))
-    return CycleSet(tuple(tuple(r) for r in induced)), tuple(cls)
+    cls = np.asarray(cls)
+    t = np.array(cs.table)
+    reps = np.unique(cls, return_index=True)[1]
+    induced = cls[t[np.ix_(reps, reps)]]
+    bad = np.flatnonzero(cls[t] != induced[np.ix_(cls, cls)])
+    if bad.size:
+        x, y = divmod(int(bad[0]), cs.n)
+        raise InducedTableIllDefined((int(cls[x]), int(cls[y])), (x, y))
+    return CycleSet(induced), tuple(cls.tolist())
 
 
 def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]]:
@@ -264,8 +257,7 @@ def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]
     n = cs.n
     if n <= 1:
         return []
-    gens = cs.sigma_perms()
-    systems = set(block_systems(gens, n))
+    systems = set(block_systems(cs.table, n))
     frontier = list(systems)
     while frontier:
         s = frontier.pop()
@@ -276,8 +268,11 @@ def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]
                 frontier.append(j)
     out = []
     for system in sorted(systems):
+        cls = np.empty(n, dtype=np.intp)
+        for i, block in enumerate(system):
+            cls[list(block)] = i
         try:
-            induced, _ = _induced_table(cs, system)
+            induced, _ = _induced_table(cs, cls)
         except InducedTableIllDefined:
             continue
         if not check_cycle_set(induced).ok:

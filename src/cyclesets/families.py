@@ -21,11 +21,13 @@ import os
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .brace import build_perm_brace
 from .cycleset import CycleSet, _is_morphism, check_cycle_set
 from .counting import is_prime
 from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism, SizeTooLarge
-from .perms import Perm, inverse, is_perm
+from .perms import Perm, inverse_rows, is_perm
 from .solutions import Solution, check_solution, to_solution
 
 
@@ -55,51 +57,6 @@ class IrrParams:
 FamilyParams = CyclicParams | Mpl2Params | IrrParams
 
 
-class AbGroup:
-    """Finite abelian group as tuples in mixed radix, row-major indexing."""
-
-    def __init__(self, invariants):
-        self.invariants = tuple(int(d) for d in invariants)
-        if not self.invariants or any(d < 1 for d in self.invariants):
-            raise ValueError("invariants must be positive")
-        self.size = prod(self.invariants)
-
-    @property
-    def zero(self):
-        return (0,) * len(self.invariants)
-
-    def reduce(self, elem):
-        elem = tuple(int(v) for v in elem)
-        if len(elem) != len(self.invariants):
-            raise ValueError("element has wrong rank")
-        return tuple(v % d for v, d in zip(elem, self.invariants))
-
-    def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))
-
-    def sub(self, a, b):
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.invariants))
-
-    def scale(self, k, a):
-        return tuple((k * x) % d for x, d in zip(a, self.invariants))
-
-    def index(self, elem) -> int:
-        out = 0
-        for v, d in zip(elem, self.invariants):
-            out = out * d + (v % d)
-        return out
-
-    def element(self, index: int):
-        out = []
-        for d in reversed(self.invariants):
-            index, r = divmod(index, d)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def elements(self):
-        return [self.element(i) for i in range(self.size)]
-
-
 def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
     """Normalise scalar phi entries / s into rank-1 tuples."""
     inv = tuple(int(d) for d in a_invariants)
@@ -127,8 +84,7 @@ def cyclic_cycle_set(n: int) -> CycleSet:
     """x*y = y+1 on Z_n."""
     if n < 1:
         raise ValueError("need at least one point")
-    row = tuple((y + 1) % n for y in range(n))
-    return CycleSet(tuple(row for _ in range(n)))
+    return CycleSet(np.broadcast_to((np.arange(n) + 1) % n, (n, n)))
 
 
 def mpl2_cycle_set(m: int, a_invariants, phi, s) -> CycleSet:
@@ -137,29 +93,25 @@ def mpl2_cycle_set(m: int, a_invariants, phi, s) -> CycleSet:
     m = params.m
     if m < 2:
         raise ValueError("need m >= 2")
-    group = AbGroup(params.a_invariants)
-    f = [group.reduce(v) for v in params.phi]
-    s_elem = group.reduce(params.s)
-    if len(f) != m:
+    if len(params.phi) != m:
         raise ValueError(f"defect map must list {m} values")
-    if f[0] != group.zero:
+    inv = np.array(params.a_invariants)
+    f = np.array(params.phi)  # f[k] = the digits of f(k)
+    if f[0].any():
         raise InvariantViolation("defect map must vanish at 0")
-    if all(v == group.zero for v in f):
+    if not f.any():
         raise ConstantPhi("defect map is identically zero")
 
-    size = m * group.size
-    table = []
-    for a in range(m):
-        for x_i in range(group.size):
-            row = []
-            for b in range(m):
-                shift = group.add(f[(b - a) % m], s_elem if b == 0 else group.zero)
-                for y_i in range(group.size):
-                    y = group.element(y_i)
-                    row.append(((b + 1) % m) * group.size + group.index(group.add(y, shift)))
-            table.append(tuple(row))
-    assert len(table) == size
-    return CycleSet(tuple(table))
+    # A in mixed radix, last digit fastest: element i has digits elems[i]
+    size = int(inv.prod())
+    weights = np.append(np.cumprod(inv[:0:-1])[::-1], 1)
+    elems = np.arange(size)[:, None] // weights % inv
+    r = np.arange(m)
+    shift = f[(r[None, :] - r[:, None]) % m]  # shift[a, b] = f(b - a) + [b=0]*s
+    shift[:, 0] += params.s
+    # (a, x)*(b, y) does not depend on x: table[a, x, b, y] = out[a, b, y]
+    out = (r[None, :, None] + 1) % m * size + ((elems + shift[:, :, None]) % inv) @ weights
+    return CycleSet(np.broadcast_to(out[:, None], (m, size, m, size)).reshape(m * size, -1))
 
 
 def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
@@ -183,17 +135,10 @@ def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
                 f"defect map is not alpha-equivariant: f({alpha}*{a}) != {alpha}*f({a})"
             )
 
-    table = []
-    for a in range(p):
-        for x in range(p):
-            row = []
-            for b in range(p):
-                first = (alpha * (b + x)) % p
-                base = f[(b - a) % p]
-                for y in range(p):
-                    row.append(first * p + (alpha * (y + base)) % p)
-            table.append(tuple(row))
-    return CycleSet(tuple(table))
+    r = np.arange(p)
+    first = alpha * (r[:, None] + r) % p  # first[x, b]
+    second = alpha * (r + np.array(f)[(r - r[:, None]) % p][:, :, None]) % p  # second[a, b, y]
+    return CycleSet((first[None, :, :, None] * p + second[:, None]).reshape(p * p, -1))
 
 
 def _check_table_fits(n: int) -> None:
@@ -298,7 +243,7 @@ def deform(cs: CycleSet, perm: Perm) -> CycleSet:
     """Twist the table to x *' y = perm[x*y]; perm must be an automorphism."""
     if not is_cycle_set_automorphism(cs, perm):
         raise NotAnAutomorphism("deforming map must be a cycle set automorphism")
-    out = CycleSet(tuple(tuple(perm[v] for v in row) for row in cs.table))
+    out = CycleSet(np.array(perm)[np.array(cs.table)])
     rep = check_cycle_set(out)
     if not rep.ok:
         raise InvariantViolation(f"deformed table is not a cycle set: {rep}")
@@ -309,8 +254,7 @@ def cable(cs: CycleSet, k: int) -> CycleSet:
     """Replace each row x*(-) by the inverse of k·g_x, with g_x = (x*(-))^{-1}
     an additive generator of the row brace."""
     br = build_perm_brace(cs)
-    rows = tuple(br.inv_elems[br.add_pow(k, int(br.gidx[x]))] for x in range(cs.n))
-    out = CycleSet(rows)
+    out = CycleSet(br.inv_elems[[br.add_pow(k, int(g)) for g in br.gidx]])
     rep = check_cycle_set(out)
     if not rep.ok:
         raise InvariantViolation(f"cabled table is not a cycle set: {rep}")
@@ -352,17 +296,11 @@ def co_simple_solution(p: int, f, t: int) -> Solution:
     if all(v == f[0] for v in f):
         raise ConstantPhi("condition S3 failed: f is constant")
 
-    lam = []
-    for i in range(p):
-        for j in range(p):
-            row = []
-            for k in range(p):
-                first = (t * k + j) % p
-                shift = f[(first - i) % p]
-                for l in range(p):
-                    row.append(first * p + (t * (l - shift)) % p)
-            lam.append(tuple(row))
-    sol = to_solution(CycleSet(tuple(inverse(row) for row in lam)), check=False)
+    r = np.arange(p)
+    first = (t * r + r[:, None]) % p  # first[j, k]
+    shift = np.array(f)[(first - r[:, None, None]) % p]  # shift[i, j, k]
+    lam = first[..., None] * p + t * (r - shift[..., None]) % p  # lam[i, j, k, l]
+    sol = to_solution(CycleSet(inverse_rows(lam.reshape(p * p, -1))), check=False)
     rep = check_solution(sol)
     if not rep.ok:
         raise InvariantViolation(f"co-simple parameters give no solution: {rep}")
@@ -380,10 +318,5 @@ def psi_iso_check(p: int, phi, alpha: int) -> bool:
     f, t = co_params(p, phi, alpha)
     sol_b = co_simple_solution(p, f, t)
     psi = mirror_perm(p)
-    n = p * p
-    for x in range(n):
-        for y in range(n):
-            u, v = sol_a.r(x, y)
-            if (psi[u], psi[v]) != sol_b.r(psi[x], psi[y]):
-                return False
-    return True
+    # r_b(psi x, psi y) = (psi u, psi v) where r_a(x, y) = (u, v), table by table
+    return _is_morphism(sol_a.lam, sol_b.lam, psi) and _is_morphism(sol_a.rho, sol_b.rho, psi)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 from .brace import PermBrace
 from .counting import CountReport
 from .cycleset import CycleSet
 from .errors import InvariantViolation
-from .families import FamilyParams, _json_int, params_from_dict, params_to_dict
+from .families import FamilyParams, _json_int, params_from_dict
 from .solutions import Solution
 
 Document = CycleSet | Solution | FamilyParams
@@ -46,15 +47,7 @@ def brace_to_dict(brace: PermBrace, max_order: int = 512) -> dict:
 
 
 def count_report_to_dict(report: CountReport) -> dict:
-    return {
-        "p": report.p,
-        "n_cyclic": report.n_cyclic,
-        "n_mpl2": report.n_mpl2,
-        "n_irr_even": report.n_irr_even,
-        "n_irr_zero": report.n_irr_zero,
-        "n_irr": report.n_irr,
-        "total": report.total,
-    }
+    return {**asdict(report), "n_irr": report.n_irr, "total": report.total}
 
 
 def _int_rows(doc: dict, key: str) -> tuple[tuple[int, ...], ...]:
@@ -83,14 +76,6 @@ def document_from_dict(doc: dict) -> Document:
     if kind == "solution":
         return Solution(_int_rows(doc, "lam"), _int_rows(doc, "rho"))
     raise InvariantViolation(f"unsupported document kind: {kind!r}")
-
-
-def document_to_dict(obj) -> dict:
-    if isinstance(obj, CycleSet):
-        return cycle_set_to_dict(obj)
-    if isinstance(obj, Solution):
-        return solution_to_dict(obj)
-    return params_to_dict(obj)
 
 
 def load_document(path: str) -> Document:

@@ -131,7 +131,7 @@ def canonical_form(cs: CycleSet) -> CycleSet:
         else:
             if below:
                 best = rows
-    return CycleSet(tuple(tuple(row.tolist()) for _, row in best))
+    return CycleSet(np.array([row for _, row in best]))
 
 
 def brute_iso(a: CycleSet, b: CycleSet) -> Perm | None:

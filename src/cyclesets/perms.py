@@ -32,6 +32,14 @@ def inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
+def inverse_rows(t) -> np.ndarray:
+    """The row-wise inverse of a table of permutation rows: out[x, t[x, y]] = y."""
+    t = np.asarray(t)
+    out = np.zeros_like(t)
+    out[np.arange(len(t))[:, None], t] = np.arange(t.shape[1])
+    return out
+
+
 def is_perm(seq) -> bool:
     n = len(seq)
     return all(isinstance(x, int) and 0 <= x < n for x in seq) and len(set(seq)) == n

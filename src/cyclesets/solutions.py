@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycleset import CycleSet, _first_mismatch, assert_valid, check_cycle_set
+from .cycleset import CycleSet, _first_mismatch, _Table, _table, assert_valid, check_cycle_set
 from .errors import InvariantViolation
-from .perms import inverse
-
-_Table = tuple[tuple[int, ...], ...]
+from .perms import inverse_rows
 
 
 @dataclass(frozen=True)
@@ -25,16 +23,11 @@ class Solution:
     rho: _Table
 
     def __post_init__(self):
-        lam = tuple(tuple(int(v) for v in row) for row in self.lam)
-        rho = tuple(tuple(int(v) for v in row) for row in self.rho)
-        n = len(lam)
-        if len(rho) != n:
+        lam = _table(self.lam, "solution")
+        if len(self.rho) != len(lam):
             raise ValueError("lam and rho must have the same size")
-        for row in lam + rho:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError("malformed solution table")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _table(self.rho, "solution"))
 
     @property
     def n(self) -> int:
@@ -107,18 +100,15 @@ def to_solution(cs: CycleSet, check: bool = True) -> Solution:
     """The solution attached to a cycle set: lam_x = (x*(-))^{-1}."""
     if check:
         assert_valid(cs)
-    n = cs.n
-    lam = tuple(inverse(row) for row in cs.table)
-    rho = tuple(
-        tuple(cs.table[lam[x][y]][x] for x in range(n)) for y in range(n)
-    )
-    return Solution(lam, rho)
+    t = np.array(cs.table)
+    lam = inverse_rows(t)
+    # rho[y, x] = t[lam[x, y], x]
+    return Solution(lam, t[lam, np.arange(cs.n)[:, None]].T)
 
 
 def from_solution(sol: Solution, check: bool = True) -> CycleSet:
     """Recover the cycle set table x*y = lam_x^{-1}(y)."""
-    table = tuple(inverse(row) for row in sol.lam)
-    cs = CycleSet(table)
+    cs = CycleSet(inverse_rows(sol.lam))
     if check:
         rep = check_cycle_set(cs)
         if not rep.ok:

@@ -440,3 +440,63 @@ def test_document_size_must_match_its_table(monkeypatch, capsys, doc):
     code, out, err = _verify_stdin(monkeypatch, capsys, doc)
     _assert_one_line_error(code, out, err)
     assert "field 'n'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--p", "1000003"),
+        ("count", "--p", "1000000000000000003"),
+        ("enumerate", "--p", "1000000000000000003"),
+        ("enumerate", "--p", "1000003", "--family", "irr"),
+        ("enumerate", "--p", "10007"),
+        ("enumerate", "--p", "101"),
+    ],
+)
+def test_a_huge_p_is_refused_from_the_size_of_its_count(capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    _assert_one_line_error(code, out, err)
+    if argv[0] == "enumerate":
+        assert err == f"error: more than 1000000 classes at p = {argv[2]}\n"
+
+
+def test_count_at_the_printable_edge_is_unchanged(capsys):
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the pinned edge assumes the default digit limit")
+    code, out, _ = run(capsys, "count", "--p", "1367")
+    assert code == 0 and json.loads(out)["total"] == count_formula(1367).total
+    code, out, err = run(capsys, "count", "--p", "1373")
+    _assert_one_line_error(code, out, err)
+    assert err == (
+        "error: the counts at p = 1373 are too long to print (over 4300 digits); "
+        "the largest supported p is 1367\n"
+    )
+
+
+@pytest.mark.parametrize("budget", ["1e400", "-1", "nan", "2.5"])
+def test_enumerate_budget_is_a_non_negative_class_count(capsys, budget):
+    code, out, err = run(capsys, "enumerate", "--p", "3", "--budget", budget)
+    _assert_one_line_error(code, out, err)
+    assert "--budget" in err
+
+
+def test_enumerate_budget_bounds_the_class_count(capsys):
+    code, out, err = run(capsys, "enumerate", "--p", "3", "--budget", "15")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: more than 15 classes at p = 3\n"
+    code, out, _ = run(capsys, "enumerate", "--p", "3", "--budget", "16")
+    assert code == 0 and out.count("\n") == 16
+
+
+@pytest.mark.parametrize("command", ["verify", "convert"])
+def test_empty_solution_document_is_one_line_error(monkeypatch, capsys, command):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"kind":"solution","lam":[],"rho":[]}'))
+    code, out, err = run(capsys, command, "--in", "-")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: a solution needs at least one point\n"

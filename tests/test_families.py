@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
-    AbGroup,
     ConstantPhi,
     CyclicParams,
     InvariantViolation,
@@ -244,35 +243,6 @@ def test_to_cycle_set_dispatch():
         == mpl2_cycle_set(2, (2,), (0, 1), 1).table
     )
     assert to_cycle_set(IrrParams(2, (0, 1), 1)).table == irr_cycle_set(2, (0, 1), 1).table
-
-
-# -- the helper group ----------------------------------------------------------
-
-
-small_groups = st.sampled_from([(2,), (3,), (4,), (2, 2), (3, 3), (2, 4)])
-
-
-@given(small_groups, st.integers(0, 40), st.integers(0, 40), st.integers(-5, 5))
-@settings(max_examples=60, deadline=None)
-def test_abgroup_laws(invariants, i, j, k):
-    g = AbGroup(invariants)
-    a = g.element(i % g.size)
-    b = g.element(j % g.size)
-    assert g.add(a, b) == g.add(b, a)
-    assert g.sub(g.add(a, b), b) == a
-    assert g.add(a, g.zero) == a
-    assert g.scale(k, a) == g.reduce(tuple(k * v for v in a))
-    assert g.element(g.index(a)) == a
-    assert 0 <= g.index(a) < g.size
-
-
-def test_abgroup_guards():
-    with pytest.raises(ValueError):
-        AbGroup(())
-    with pytest.raises(ValueError):
-        AbGroup((0,))
-    with pytest.raises(ValueError):
-        AbGroup((2,)).reduce((1, 1))
 
 
 def test_family_tables_are_refused_beyond_physical_memory(monkeypatch):

@@ -12,6 +12,7 @@ from cyclesets import (
     count_formula,
     cyclic_cycle_set,
     irr_cycle_set,
+    params_to_dict,
     to_solution,
 )
 from cyclesets.jsonio import (
@@ -19,9 +20,9 @@ from cyclesets.jsonio import (
     count_report_to_dict,
     cycle_set_to_dict,
     document_from_dict,
-    document_to_dict,
     dump_line,
     load_document,
+    solution_to_dict,
 )
 
 
@@ -36,14 +37,14 @@ def test_cycle_set_roundtrip():
 
 def test_solution_roundtrip():
     sol = to_solution(irr_cycle_set(2, (0, 1), 1))
-    back = document_from_dict(document_to_dict(sol))
+    back = document_from_dict(solution_to_dict(sol))
     assert isinstance(back, Solution)
     assert back.lam == sol.lam and back.rho == sol.rho
 
 
 def test_params_documents():
     params = IrrParams(3, (0, 1, 1), 1)
-    doc = document_to_dict(params)
+    doc = params_to_dict(params)
     assert doc["family"] == "irr"
     assert document_from_dict(doc) == params
 

@@ -1,7 +1,9 @@
-"""The scripts under scripts/ run end to end through their main()."""
+"""The scripts under scripts/ and the benchmark's smoke run, end to end."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,17 @@ def test_hunt_size_nine_reports_an_incomplete_budgeted_run(capsys):
 def test_deep_checks_p7_group_order(capsys):
     assert load("deep_checks_p7").main(["--closure"]) == 0
     assert "order 352947 = 3*7^6 is True" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_benchmark_smoke_run():
+    """The benchmark's reduced run passes, so a library name its tracer
+    wraps cannot be renamed or deleted unnoticed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/smoke.py"],
+        cwd=SCRIPTS.parent,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
