@@ -116,14 +116,8 @@ class PermBrace:
 
     def _lookup_many(self, rows: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(rows, dtype=self.elems.dtype)
-        buf = arr.tobytes()
-        stride = self._stride
-        index = self._index
-        return np.fromiter(
-            (index[buf[r * stride : (r + 1) * stride]] for r in range(arr.shape[0])),
-            dtype=np.int64,
-            count=arr.shape[0],
-        )
+        keys = arr.view(np.dtype((np.void, self._stride))).ravel().tolist()  # row bytes
+        return np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(keys))
 
     # -- group operations ----------------------------------------------------
 
@@ -134,7 +128,7 @@ class PermBrace:
         return self._lookup(self.inv_elems[i])
 
     def circ_many(self, src: np.ndarray, other: np.ndarray) -> np.ndarray:
-        rows = np.take_along_axis(self.elems[src], self.elems[other], axis=1)
+        rows = self.elems[src[:, None], self.elems[other]]  # row r: elems[src[r]] o elems[other[r]]
         return self._lookup_many(rows)
 
     def circ_row_left(self, i: int) -> np.ndarray:
@@ -190,6 +184,33 @@ class PermBrace:
             acc = self.add(acc, self._neg_gen[int(self.gidx[z])])
         return acc
 
+    # -- array forms of the word folds: entry k is the scalar fold of entry k ----
+
+    def _fold_words(self, acc, j, step) -> np.ndarray:
+        """Fold each word(j[k]) onto acc[k] in word order, one letter per pass:
+        acc[live] = step(acc[live], letters, live) for every still-live k."""
+        acc = np.array(acc, dtype=np.int64)
+        cur = np.array(j, dtype=np.int64)
+        live = np.flatnonzero(cur != self.zero)
+        while live.size:
+            acc[live] = step(acc[live], self.parent_point[cur[live]], live)
+            cur[live] = self.parent_elem[cur[live]]
+            live = live[cur[live] != self.zero]
+        return acc
+
+    def add_many(self, i, j) -> np.ndarray:
+        return self._fold_words(i, j, lambda acc, z, k: self._add_gen_many(acc, z))
+
+    def lam_many(self, i, j) -> np.ndarray:
+        i = np.asarray(i, dtype=np.int64)
+        step = lambda acc, z, k: self._add_gen_many(acc, self.elems[i[k], z])
+        return self._fold_words(np.full(i.shape, self.zero), j, step)
+
+    def neg_many(self, i) -> np.ndarray:
+        neg_gen = np.array([self._neg_gen[int(g)] for g in self.gidx])  # by point
+        step = lambda acc, z, k: self.add_many(acc, neg_gen[z])
+        return self._fold_words(np.full(np.shape(i), self.zero), i, step)
+
     def add_pow(self, k: int, i: int) -> int:
         """The additive multiple k·i (k may be negative)."""
         if k < 0:
@@ -204,24 +225,23 @@ class PermBrace:
 
     # -- whole-row maps (O(order) each) ---------------------------------------
 
+    def _fold_levels(self, start, pts) -> np.ndarray:
+        """out[j] = out[parent_elem[j]] + g_{pts[j]}, level by level down the
+        BFS tree from out[zero] = start; trailing axes fold side by side."""
+        out = np.empty(pts.shape, dtype=np.int64)
+        out[self.zero] = start
+        for level in self.levels[1:]:
+            src = out[self.parent_elem[level]]
+            out[level] = self._add_gen_many(src.ravel(), pts[level].ravel()).reshape(src.shape)
+        return out
+
     def translate_row(self, i: int) -> np.ndarray:
         """out[j] = i + j for every j."""
-        out = np.empty(self.order, dtype=np.int64)
-        out[self.zero] = i
-        for level in self.levels[1:]:
-            out[level] = self._add_gen_many(out[self.parent_elem[level]], self.parent_point[level])
-        return out
+        return self._fold_levels(i, self.parent_point)
 
     def lam_row(self, i: int) -> np.ndarray:
         """out[j] = lambda_i(j) for every j."""
-        out = np.empty(self.order, dtype=np.int64)
-        out[self.zero] = self.zero
-        row = self.elems[i].astype(np.int64)
-        for level in self.levels[1:]:
-            out[level] = self._add_gen_many(
-                out[self.parent_elem[level]], row[self.parent_point[level]]
-            )
-        return out
+        return self._fold_levels(self.zero, self.elems[i].astype(np.int64)[self.parent_point])
 
     # -- distinguished subsets -------------------------------------------------
 
@@ -342,15 +362,21 @@ class PermBrace:
 
     def circ_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        return np.stack([self.circ_row_left(i) for i in range(self.order)])
+        out = np.empty((self.order, self.order), dtype=np.int64)
+        for level in self.levels:
+            rows = self.elems[:, self.elems[level]].reshape(-1, self.n_points)
+            out[:, level] = self._lookup_many(rows).reshape(self.order, level.size)
+        return out
 
     def add_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        return np.stack([self.translate_row(i) for i in range(self.order)])
+        pts = np.broadcast_to(self.parent_point[:, None], (self.order, self.order))
+        return np.ascontiguousarray(self._fold_levels(np.arange(self.order), pts).T)
 
     def lam_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        return np.stack([self.lam_row(i) for i in range(self.order)])
+        pts = self.elems.astype(np.int64)[:, self.parent_point].T
+        return np.ascontiguousarray(self._fold_levels(self.zero, pts).T)
 
 
 def build_perm_brace(cs: CycleSet) -> PermBrace:
@@ -370,13 +396,14 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
     """
     n = brace.order
     if n <= 96:
-        add = brace.add_table(max_order=96)
-        circ = brace.circ_table(max_order=96)
+        # int16 tables: the order^3 gathers below then move a quarter of the bytes
+        add = brace.add_table(max_order=96).astype(np.int16)
+        circ = brace.circ_table(max_order=96).astype(np.int16)
         if not (add == add.T).all():
             raise InvariantViolation("addition is not commutative")
         if not (add[add] == add[:, add]).all():
             raise InvariantViolation("addition is not associative")
-        neg = np.array([brace.neg(i) for i in range(n)])
+        neg = brace.neg_many(np.arange(n))
         if not (add[np.arange(n), neg] == brace.zero).all():
             raise InvariantViolation("negation failed")
         lhs = circ[:, add]  # a o (b + c)
@@ -385,29 +412,28 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
         rhs = add[add[ab, neg[:, None, None]], ac]  # (a o b) - a + (a o c)
         if not (lhs == rhs).all():
             raise InvariantViolation("o is not distributive over + in the brace sense")
-        lam = brace.lam_table(max_order=96)
+        lam = brace.lam_table(max_order=96).astype(np.int16)
         if not (lam[:, add] == add[lam[:, :, None], lam[:, None, :]]).all():
             raise InvariantViolation("lambda_a is not additive")
         if not (lam[circ] == lam[:, lam]).all():
             raise InvariantViolation("lambda is not multiplicative in the subscript")
         return True
 
-    rng = np.random.default_rng(seed)
-    pick = lambda: int(rng.integers(n))
-    for _ in range(samples):
-        a, b, c = pick(), pick(), pick()
-        if brace.add(a, b) != brace.add(b, a):
-            raise InvariantViolation("addition is not commutative")
-        if brace.add(brace.add(a, b), c) != brace.add(a, brace.add(b, c)):
-            raise InvariantViolation("addition is not associative")
-        if brace.add(a, brace.neg(a)) != brace.zero:
-            raise InvariantViolation("negation failed")
-        lhs = brace.circ(a, brace.add(b, c))
-        rhs = brace.add(brace.add(brace.circ(a, b), brace.neg(a)), brace.circ(a, c))
-        if lhs != rhs:
-            raise InvariantViolation("o is not distributive over + in the brace sense")
-        if brace.lam(a, brace.add(b, c)) != brace.add(brace.lam(a, b), brace.lam(a, c)):
-            raise InvariantViolation("lambda_a is not additive")
-        if brace.lam(brace.circ(a, b), c) != brace.lam(a, brace.lam(b, c)):
-            raise InvariantViolation("lambda is not multiplicative in the subscript")
+    # one draw of shape (samples, 3) yields the same values as 3 * samples scalar draws
+    a, b, c = np.random.default_rng(seed).integers(n, size=(samples, 3)).T
+    add, circ, lam = brace.add_many, brace.circ_many, brace.lam_many
+    bc, ab, ac, neg_a = add(b, c), circ(a, b), circ(a, c), brace.neg_many(a)
+    checks = [
+        ("addition is not commutative", add(a, b) != add(b, a)),
+        ("addition is not associative", add(add(a, b), c) != add(a, bc)),
+        ("negation failed", add(a, neg_a) != brace.zero),
+        ("o is not distributive over + in the brace sense", circ(a, bc) != add(add(ab, neg_a), ac)),
+        ("lambda_a is not additive", lam(a, bc) != add(lam(a, b), lam(a, c))),
+        ("lambda is not multiplicative in the subscript", lam(ab, c) != lam(a, lam(b, c))),
+    ]
+    bad = np.array([failed for _, failed in checks])  # (axiom, sample)
+    if bad.any():
+        # what a sample-by-sample loop raises: the first failing axiom of the first failing sample
+        first = np.flatnonzero(bad.any(axis=0))[0]
+        raise InvariantViolation(checks[int(np.argmax(bad[:, first]))][0])
     return True

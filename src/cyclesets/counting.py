@@ -11,20 +11,41 @@ classifier reads its class representatives off the same scan.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeTooLarge
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13
+
 
 def is_prime(n: int) -> bool:
+    """Trial division by the primes to 41, then a strong-probable-prime test
+    to those 13 bases, which no composite below 3.3e24 passes."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _BASES_EXACT_BELOW:
+        raise SizeTooLarge(f"primality is only decided below {_BASES_EXACT_BELOW}")
+    s, d = two_adic_split(n - 1)
+    for a in _BASES:
+        x = pow(a, d, n)
+        # a witness: a^d is not +-1 and none of its s - 1 squarings reaches -1
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
-        d += 1
     return True
+
+
+def check_fits(nbytes: int, what: str) -> None:
+    """Refuse before allocating when ``nbytes`` exceed the physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise SizeTooLarge(f"{what} needs over {nbytes} bytes, more than the {memory} bytes of physical memory")
 
 
 def divisors(n: int) -> list[int]:
@@ -117,6 +138,7 @@ def count_has_more_digits(p: int, digits: int, family: str = "all") -> bool:
 def _digit_rows(p: int, width: int) -> np.ndarray:
     """All base-p digit vectors of the given width, one per row."""
     count = p**width
+    check_fits(8 * count * width, f"a scan of {count} base-{p} digit rows of width {width}")
     vals = np.arange(count, dtype=np.int64)
     out = np.empty((count, width), dtype=np.int64)
     for col in range(width - 1, -1, -1):

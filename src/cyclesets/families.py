@@ -17,7 +17,6 @@ group's brace.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import prod
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .brace import build_perm_brace
 from .cycleset import CycleSet, _is_morphism, check_cycle_set
-from .counting import is_prime
-from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism, SizeTooLarge
+from .counting import check_fits, is_prime
+from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism
 from .perms import Perm, inverse_rows, is_perm
 from .solutions import Solution, check_solution, to_solution
 
@@ -142,17 +141,8 @@ def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
 
 
 def _check_table_fits(n: int) -> None:
-    """Refuse an n-point family before its n x n table is built.
-
-    The table holds at least one 8-byte reference per entry, so it cannot
-    fit when 8*n*n exceeds the machine's physical memory.
-    """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * n * n > memory:
-        raise SizeTooLarge(
-            f"a table on {n} points needs over {8 * n * n} bytes, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    """Refuse an n-point family before building its table of 8-byte entries."""
+    check_fits(8 * n * n, f"a table on {n} points")
 
 
 def to_cycle_set(params: FamilyParams) -> CycleSet:

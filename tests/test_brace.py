@@ -1,17 +1,22 @@
+import copy
+
 import numpy as np
 import pytest
 
 from cyclesets import (
     InconsistentAddition,
+    InvariantViolation,
     SizeTooLarge,
     block_systems,
     build_perm_brace,
     closure,
     cyclic_cycle_set,
+    enumerate_classes,
     irr_cycle_set,
     mpl2_cycle_set,
     sigma_gens,
     sub_cycle_set,
+    to_cycle_set,
     verify_brace,
 )
 from cyclesets.perms import inverse
@@ -202,3 +207,152 @@ def test_mpl2_brace_order():
     br = build_perm_brace(mpl2_cycle_set(2, (2,), (0, 1), 1))
     assert br.order in (4, 8)
     assert verify_brace(br)
+
+
+# -- array folds against the scalar API ---------------------------------------
+
+# irretractable p = 5 members with row groups of order 625, 625 and 15625
+_P5_PHIS = [(0, 1, 4, 4, 1), (1, 0, 2, 2, 0), (0, 1, 1, 1, 1)]
+
+
+def _small_cycle_sets():
+    return [to_cycle_set(q) for p in (2, 3) for q in enumerate_classes(p)]
+
+
+@pytest.mark.parametrize(
+    "cs", _small_cycle_sets() + [irr_cycle_set(5, phi, 1) for phi in _P5_PHIS]
+)
+def test_array_folds_match_the_scalar_folds(cs):
+    br = build_perm_brace(cs)
+    i, j = np.random.default_rng(br.order).integers(br.order, size=(2, 120))
+    assert br.add_many(i, j).tolist() == [br.add(int(a), int(b)) for a, b in zip(i, j)]
+    assert br.lam_many(i, j).tolist() == [br.lam(int(a), int(b)) for a, b in zip(i, j)]
+    assert br.circ_many(i, j).tolist() == [br.circ(int(a), int(b)) for a, b in zip(i, j)]
+    assert br.neg_many(i).tolist() == [br.neg(int(a)) for a in i]
+
+
+def test_tables_match_the_scalar_api(brace81):
+    br = brace81
+    pairs = [(i, j) for i in range(br.order) for j in range(br.order)]
+    shape = (br.order, br.order)
+    assert (br.add_table() == np.reshape([br.add(i, j) for i, j in pairs], shape)).all()
+    assert (br.lam_table() == np.reshape([br.lam(i, j) for i, j in pairs], shape)).all()
+    assert (br.circ_table() == np.reshape([br.circ(i, j) for i, j in pairs], shape)).all()
+    for i in (0, 5, 80):
+        assert br.translate_row(i).tolist() == br.add_table()[i].tolist()
+        assert br.lam_row(i).tolist() == br.lam_table()[i].tolist()
+
+
+# -- verify_brace's failure path ------------------------------------------------
+
+
+def _reference_sampled(br, samples=300, seed=0):
+    """verify_brace's sampled path, one scalar triple at a time."""
+    n = br.order
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        a, b, c = (int(rng.integers(n)) for _ in range(3))
+        if br.add(a, b) != br.add(b, a):
+            raise InvariantViolation("addition is not commutative")
+        if br.add(br.add(a, b), c) != br.add(a, br.add(b, c)):
+            raise InvariantViolation("addition is not associative")
+        if br.add(a, br.neg(a)) != br.zero:
+            raise InvariantViolation("negation failed")
+        lhs = br.circ(a, br.add(b, c))
+        rhs = br.add(br.add(br.circ(a, b), br.neg(a)), br.circ(a, c))
+        if lhs != rhs:
+            raise InvariantViolation("o is not distributive over + in the brace sense")
+        if br.lam(a, br.add(b, c)) != br.add(br.lam(a, b), br.lam(a, c)):
+            raise InvariantViolation("lambda_a is not additive")
+        if br.lam(br.circ(a, b), c) != br.lam(a, br.lam(b, c)):
+            raise InvariantViolation("lambda is not multiplicative in the subscript")
+    return True
+
+
+def _reference_exhaustive(br):
+    """verify_brace's exhaustive path with scalar tables: each row folds the
+    generators down the BFS tree, and each axiom is checked on every triple
+    before the next one."""
+    n, pe, pp = br.order, br.parent_elem, br.parent_point
+    add = [[None] * n for _ in range(n)]
+    lam = [[None] * n for _ in range(n)]
+    for i in range(n):
+        add[i][br.zero], lam[i][br.zero] = i, br.zero
+        for level in br.levels[1:]:
+            for j in level.tolist():
+                add[i][j] = br.add_gen(add[i][pe[j]], int(pp[j]))
+                lam[i][j] = br.add_gen(lam[i][pe[j]], int(br.elems[i, pp[j]]))
+    circ = [[br.circ(i, j) for j in range(n)] for i in range(n)]
+    neg = [br.neg(i) for i in range(n)]
+    R = range(n)
+    axioms = [
+        ("addition is not commutative", lambda a, b, c: add[a][b] == add[b][a]),
+        ("addition is not associative", lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]]),
+        ("negation failed", lambda a, b, c: add[a][neg[a]] == br.zero),
+        (
+            "o is not distributive over + in the brace sense",
+            lambda a, b, c: circ[a][add[b][c]] == add[add[circ[a][b]][neg[a]]][circ[a][c]],
+        ),
+        (
+            "lambda_a is not additive",
+            lambda a, b, c: lam[a][add[b][c]] == add[lam[a][b]][lam[a][c]],
+        ),
+        (
+            "lambda is not multiplicative in the subscript",
+            lambda a, b, c: lam[circ[a][b]][c] == lam[a][lam[b][c]],
+        ),
+    ]
+    for message, holds in axioms:
+        if not all(holds(a, b, c) for a in R for b in R for c in R):
+            raise InvariantViolation(message)
+    return True
+
+
+def _corrupt(br, kind):
+    bad = copy.copy(br)
+    bad._words = {}
+    if kind == "neg_gen":
+        bad._neg_gen = dict(br._neg_gen)
+        g = next(iter(bad._neg_gen))
+        bad._neg_gen[g] = g
+        return bad
+    # re-point one BFS edge at a point with another generator
+    depth = 1 if kind == "parent_point_top" else len(br.levels) - 1
+    j = int(br.levels[depth][0])
+    z = int(br.parent_point[j])
+    bad.parent_point = br.parent_point.copy()
+    bad.parent_point[j] = next(y for y in range(br.n_points) if br.gidx[y] != br.gidx[z])
+    return bad
+
+
+def _message(check, *args, **kwargs):
+    with pytest.raises(InvariantViolation) as info:
+        check(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["neg_gen", "parent_point_top", "parent_point_deep"])
+def test_exhaustive_verify_raises_the_reference_message(kind):
+    br = build_perm_brace(mpl2_cycle_set(3, (3,), (0, 1, 1), (1,)))
+    assert br.order == 27 and verify_brace(br) and _reference_exhaustive(br)
+    bad = _corrupt(br, kind)
+    assert _message(verify_brace, bad) == _message(_reference_exhaustive, bad)
+
+
+@pytest.mark.parametrize("kind", ["neg_gen", "parent_point_top", "parent_point_deep"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_verify_raises_the_reference_message(kind, seed):
+    br = build_perm_brace(irr_cycle_set(5, _P5_PHIS[0], 1))
+    assert br.order == 625 and verify_brace(br, seed=seed)
+    bad = _corrupt(br, kind)
+    got = _message(verify_brace, bad, seed=seed)
+    assert got == _message(_reference_sampled, bad, seed=seed)
+
+
+@pytest.mark.parametrize("n", [125, 625, 15625])
+@pytest.mark.parametrize("seed", [0, 1, 12])
+def test_sampled_triples_are_the_scalar_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    scalar = [int(rng.integers(n)) for _ in range(900)]
+    batched = np.random.default_rng(seed).integers(n, size=(300, 3))
+    assert batched.ravel().tolist() == scalar

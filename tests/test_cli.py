@@ -500,3 +500,24 @@ def test_empty_solution_document_is_one_line_error(monkeypatch, capsys, command)
     code, out, err = run(capsys, command, "--in", "-")
     _assert_one_line_error(code, out, err)
     assert err == "error: a solution needs at least one point\n"
+
+
+def test_cyclic_enumerate_at_a_huge_prime_prints_its_one_class(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--p", "1000000000000000003", "--family", "cyclic")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"family": "cyclic", "p": 1000000000000000003}
+
+
+def test_enumerate_refuses_digit_rows_larger_than_memory(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--p", "13", "--budget", "100000000000000")
+    assert time.perf_counter() - start < 2.0
+    _assert_one_line_error(code, out, err)
+    assert "physical memory" in err

@@ -10,6 +10,7 @@ from cyclesets import (
     divisors,
     euler_phi,
     is_prime,
+    SizeTooLarge,
     psi,
     two_adic_split,
 )
@@ -19,6 +20,25 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(n) == _is_prime_by_trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # least strong pseudoprimes to the first 7, 9, 11 and 12 prime bases
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1000003 * 1000000000000000003)
+    with pytest.raises(SizeTooLarge, match="only decided below"):
+        is_prime(3317044064679887385961981)  # strong pseudoprime to all 13 bases
 
 
 def test_divisors():
