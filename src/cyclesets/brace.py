@@ -10,9 +10,11 @@ automorphism for every a, and lambda_a(g_x) = g_{a(x)}.
 
 G is closed by ``perms.closure``; its elements are indexed 0..order-1 in the
 closure's order (index 0 is the identity = additive zero).
-No Cayley tables are materialised: every element gets a canonical additive
-generator word from a breadth-first search, and sums, lambda-images and whole
-rows are evaluated by folding those words with numpy gathers.
+The one materialised table is the order x n_points translation table
+``plus[i, x] = i + g_x``, filled by a breadth-first search over the additive
+generators that also gives every element a generator word.  Sums,
+lambda-images, negatives and multiples fold those words through ``plus``
+with numpy gathers; composition alone goes through the element index.
 """
 
 from __future__ import annotations
@@ -51,50 +53,44 @@ class PermBrace:
         self.inv_elems = inverse_rows(elems)
         self.gidx = self._lookup_many(gens)  # gidx[x] = index of g_x = (x*(-))^{-1}
         self.zero = 0
-        self._words: dict[int, tuple[int, ...]] = {}
         self._build_additive_bfs()
 
     # -- construction ------------------------------------------------------
 
     def _build_additive_bfs(self):
-        order = self.elems.shape[0]
+        order, n = self.elems.shape
+        self.plus = np.empty((order, n), dtype=np.int64)  # plus[i, x] = i + g_x
         self.parent_elem = np.full(order, -1, dtype=np.int64)
         self.parent_point = np.full(order, -1, dtype=np.int64)
         visited = np.zeros(order, dtype=bool)
         visited[self.zero] = True
+        self.levels = []
         level = np.array([self.zero], dtype=np.int64)
-        self.levels = [level]
-        points = np.arange(self.n_points, dtype=np.int64)
         while level.size:
-            src = np.repeat(level, self.n_points)
-            pts = np.tile(points, level.size)
-            dst = self._add_gen_many(src, pts)
-            fresh = ~visited[dst]
+            self.levels.append(level)
+            # i + g_x = i o g_{i^{-1}(x)}, for every i in the level and every point x
+            dst = self.circ_many(np.repeat(level, n), self.gidx[self.inv_elems[level]].ravel())
+            self.plus[level] = dst.reshape(level.size, n)
+            fresh = np.flatnonzero(~visited[dst])
             # keep the first discovery of each element in this batch
-            if fresh.any():
-                dst_f, src_f, pts_f = dst[fresh], src[fresh], pts[fresh]
-                uniq, first = np.unique(dst_f, return_index=True)
-                self.parent_elem[uniq] = src_f[first]
-                self.parent_point[uniq] = pts_f[first]
-                visited[uniq] = True
-                level = uniq
-                self.levels.append(level)
-            else:
-                level = np.array([], dtype=np.int64)
+            new, first = np.unique(dst[fresh], return_index=True)
+            k, x = np.divmod(fresh[first], n)
+            self.parent_elem[new] = level[k]
+            self.parent_point[new] = x
+            visited[new] = True
+            level = new
         if not visited.all():
             raise InconsistentAddition(
                 "additive generators do not span the permutation group"
             )
-        self._neg_gen = {}
-        for x in range(self.n_points):
-            g = int(self.gidx[x])
-            if g in self._neg_gen:
-                continue
-            prev, cur = self.zero, g
-            while cur != self.zero:
-                prev = cur
-                cur = self.add_gen(cur, x)
-            self._neg_gen[g] = prev  # prev + g_x = 0
+        # neg_gen[x] = -g_x: the last element before zero on the walk g_x, 2g_x, ...
+        self.neg_gen = np.full(n, self.zero, dtype=np.int64)
+        cur = self.plus[self.zero].copy()
+        live = np.flatnonzero(cur != self.zero)
+        while live.size:
+            self.neg_gen[live] = cur[live]
+            cur[live] = self.plus[cur[live], live]
+            live = live[cur[live] != self.zero]
 
     # -- low level lookups -------------------------------------------------
 
@@ -141,87 +137,56 @@ class PermBrace:
 
     # -- additive structure --------------------------------------------------
 
-    def add_gen(self, i: int, x: int) -> int:
-        """i + g_x."""
-        w = int(self.inv_elems[i, x])
-        return self.circ(i, int(self.gidx[w]))
-
-    def _add_gen_many(self, src: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        w = self.inv_elems[src, pts]
-        return self.circ_many(src, self.gidx[w])
-
-    def word(self, i: int) -> tuple[int, ...]:
-        """Additive generator word for element i (order is immaterial)."""
-        cached = self._words.get(i)
-        if cached is not None:
-            return cached
-        out = []
-        j = i
-        while j != self.zero:
-            out.append(int(self.parent_point[j]))
-            j = int(self.parent_elem[j])
-        word = tuple(out)
-        self._words[i] = word
-        return word
-
-    def add(self, i: int, j: int) -> int:
-        acc = i
-        for z in self.word(j):
-            acc = self.add_gen(acc, z)
-        return acc
-
-    def lam(self, i: int, j: int) -> int:
-        """lambda_i(j) = -i + i o j."""
-        acc = self.zero
-        row = self.elems[i]
-        for z in self.word(j):
-            acc = self.add_gen(acc, int(row[z]))
-        return acc
-
-    def neg(self, i: int) -> int:
-        acc = self.zero
-        for z in self.word(i):
-            acc = self.add(acc, self._neg_gen[int(self.gidx[z])])
-        return acc
-
-    # -- array forms of the word folds: entry k is the scalar fold of entry k ----
-
     def _fold_words(self, acc, j, step) -> np.ndarray:
-        """Fold each word(j[k]) onto acc[k] in word order, one letter per pass:
-        acc[live] = step(acc[live], letters, live) for every still-live k."""
-        acc = np.array(acc, dtype=np.int64)
-        cur = np.array(j, dtype=np.int64)
+        """Fold the generator word of each j[k] onto acc[k], one letter per
+        pass: acc[live] = step(acc[live], letters, live) for every still-live
+        flat position k.  acc and j have one shape, 0-d included."""
+        shape = np.shape(j)
+        acc = np.array(acc, dtype=np.int64).reshape(-1)
+        cur = np.array(j, dtype=np.int64).reshape(-1)
         live = np.flatnonzero(cur != self.zero)
         while live.size:
-            acc[live] = step(acc[live], self.parent_point[cur[live]], live)
-            cur[live] = self.parent_elem[cur[live]]
-            live = live[cur[live] != self.zero]
-        return acc
+            c = cur[live]
+            acc[live] = step(acc[live], self.parent_point[c], live)
+            cur[live] = c = self.parent_elem[c]
+            live = live[c != self.zero]
+        return acc.reshape(shape)
 
     def add_many(self, i, j) -> np.ndarray:
-        return self._fold_words(i, j, lambda acc, z, k: self._add_gen_many(acc, z))
+        """i + j, elementwise."""
+        return self._fold_words(i, j, lambda acc, z, k: self.plus[acc, z])
 
     def lam_many(self, i, j) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        step = lambda acc, z, k: self._add_gen_many(acc, self.elems[i[k], z])
-        return self._fold_words(np.full(i.shape, self.zero), j, step)
+        """lambda_i(j) = -i + i o j, elementwise: lambda_i(g_z) = g_{i(z)}."""
+        i = np.asarray(i, dtype=np.int64).reshape(-1)
+        step = lambda acc, z, k: self.plus[acc, self.elems[i[k], z]]
+        return self._fold_words(np.full(np.shape(j), self.zero), j, step)
 
     def neg_many(self, i) -> np.ndarray:
-        neg_gen = np.array([self._neg_gen[int(g)] for g in self.gidx])  # by point
-        step = lambda acc, z, k: self.add_many(acc, neg_gen[z])
+        """-i, elementwise."""
+        step = lambda acc, z, k: self.add_many(acc, self.neg_gen[z])
         return self._fold_words(np.full(np.shape(i), self.zero), i, step)
 
-    def add_pow(self, k: int, i: int) -> int:
-        """The additive multiple k·i (k may be negative)."""
+    def add_pow(self, k: int, i) -> np.ndarray:
+        """The additive multiple k·i, elementwise (k may be negative)."""
         if k < 0:
-            return self.add_pow(-k, self.neg(i))
-        acc, base = self.zero, i
+            return self.add_pow(-k, self.neg_many(i))
+        acc, base = np.full(np.shape(i), self.zero), np.asarray(i, dtype=np.int64)
         while k:
             if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = self.add_many(acc, base)
+            base = self.add_many(base, base)
             k >>= 1
         return acc
+
+    def add(self, i: int, j: int) -> int:
+        return int(self.add_many(i, j))
+
+    def lam(self, i: int, j: int) -> int:
+        return int(self.lam_many(i, j))
+
+    def neg(self, i: int) -> int:
+        return int(self.neg_many(i))
 
     # -- whole-row maps (O(order) each) ---------------------------------------
 
@@ -231,13 +196,8 @@ class PermBrace:
         out = np.empty(pts.shape, dtype=np.int64)
         out[self.zero] = start
         for level in self.levels[1:]:
-            src = out[self.parent_elem[level]]
-            out[level] = self._add_gen_many(src.ravel(), pts[level].ravel()).reshape(src.shape)
+            out[level] = self.plus[out[self.parent_elem[level]], pts[level]]
         return out
-
-    def translate_row(self, i: int) -> np.ndarray:
-        """out[j] = i + j for every j."""
-        return self._fold_levels(i, self.parent_point)
 
     def lam_row(self, i: int) -> np.ndarray:
         """out[j] = lambda_i(j) for every j."""
@@ -296,7 +256,7 @@ class PermBrace:
     def _add_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
         if S.size > 128:
             raise SizeTooLarge("subset too large for a pairwise closure check")
-        return all(members[self.add(int(a), int(b))] for a in S for b in S)
+        return bool(members[self.add_many(*np.meshgrid(S, S))].all())
 
     def _circ_gens_of_subgroup(self, S: np.ndarray) -> list[int]:
         gens: list[int] = []

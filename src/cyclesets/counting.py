@@ -135,16 +135,27 @@ def count_has_more_digits(p: int, digits: int, family: str = "all") -> bool:
     return p > 2 and exponent * math.log10(p) > digits + 1  # a digit of slack for rounding
 
 
-def _digit_rows(p: int, width: int) -> np.ndarray:
-    """All base-p digit vectors of the given width, one per row."""
+def _digit_rows(p: int, width: int, scan_words: int) -> np.ndarray:
+    """All base-p digit vectors of the given width, one per row.
+
+    The orbit scan over them holds at most ``scan_words`` int64 words per
+    row at once; that whole footprint is checked before any allocation.
+    """
     count = p**width
-    check_fits(8 * count * width, f"a scan of {count} base-{p} digit rows of width {width}")
+    check_fits(8 * count * scan_words, f"an orbit scan of {count} base-{p} digit rows of width {width}")
     vals = np.arange(count, dtype=np.int64)
     out = np.empty((count, width), dtype=np.int64)
     for col in range(width - 1, -1, -1):
         out[:, col] = vals % p
         vals //= p
     return out
+
+
+def _orbit_words(cols: int) -> int:
+    """int64 words per row that _orbit_minima holds beside rows of ``cols``
+    columns: an image and its temporary while acting, and the keys, key
+    minima, stabiliser sizes and masks."""
+    return 2 * cols + 5
 
 
 def _orbit_minima(rows: np.ndarray, p: int, act) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +180,7 @@ def _irr_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All even defect maps in lexicographic order, the mask of non-constant
     orbit minima under f -> alpha^{-1} f(alpha A), and stabiliser sizes."""
     half = p // 2 + 1
-    digits = _digit_rows(p, half)
+    digits = _digit_rows(p, half, half + p + _orbit_words(p))  # digits, full, the scan
     full = np.empty((p**half, p), dtype=np.int64)
     full[:, :half] = digits
     for a in range(half, p):
@@ -185,7 +196,7 @@ def _irr_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _mpl2_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (f(1)..f(p-1), s) in lexicographic order, f(0) = 0 implicit, and
     the mask of those least in their orbit under joint scaling with f != 0."""
-    rows = _digit_rows(p, p)
+    rows = _digit_rows(p, p, p + _orbit_words(p))
     least, _ = _orbit_minima(rows, p, lambda rows, alpha: (rows * alpha) % p)
     return rows, least & (rows[:, : p - 1] != 0).any(axis=1)
 

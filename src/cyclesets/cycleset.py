@@ -8,6 +8,7 @@ A cycle set on points {0..n-1} is a binary operation table where each row
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,8 +35,15 @@ def _table(rows, what: str) -> _Table:
     if t.ndim >= 1 and len(t) == 0:
         raise ValueError(f"a {what} needs at least one point")
     square = t.ndim == 2 and t.shape[0] == t.shape[1]
-    # bool is not an integer dtype
-    if not square or not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= len(t):
+    # bool is not an integer dtype, but numpy reads a Python list that mixes
+    # bools with ints as ints, so such a list is scanned for them
+    if (
+        not square
+        or not np.issubdtype(t.dtype, np.integer)
+        or t.min() < 0
+        or t.max() >= len(t)
+        or (not isinstance(rows, np.ndarray) and bool in set(map(type, chain.from_iterable(rows))))
+    ):
         raise ValueError(f"malformed {what} table")
     return tuple(map(tuple, t.tolist()))
 

@@ -244,7 +244,7 @@ def cable(cs: CycleSet, k: int) -> CycleSet:
     """Replace each row x*(-) by the inverse of k·g_x, with g_x = (x*(-))^{-1}
     an additive generator of the row brace."""
     br = build_perm_brace(cs)
-    out = CycleSet(br.inv_elems[[br.add_pow(k, int(g)) for g in br.gidx]])
+    out = CycleSet(br.inv_elems[br.add_pow(k, br.gidx)])
     rep = check_cycle_set(out)
     if not rep.ok:
         raise InvariantViolation(f"cabled table is not a cycle set: {rep}")

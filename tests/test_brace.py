@@ -132,12 +132,16 @@ def test_circ_center(brace8):
 
 def test_add_pow_scalar_matches_repeated_addition(brace81):
     br = brace81
-    rng = np.random.default_rng(7)
-    for i in rng.integers(0, br.order, size=12):
-        acc = br.zero
-        for k in range(1, 5):
-            acc = br.add(acc, int(i))
-            assert br.add_pow(k, int(i)) == acc
+    idx = np.random.default_rng(7).integers(0, br.order, size=12)
+    acc = np.full(idx.shape, br.zero)
+    for k in range(1, 5):
+        acc = np.array([_add_ref(br, int(a), int(i)) for a, i in zip(acc, idx)])
+        assert br.add_pow(k, idx).tolist() == acc.tolist()
+        assert [int(br.add_pow(k, int(i))) for i in idx] == acc.tolist()
+        # (-k)·i is the negative of k·i
+        neg = br.add_pow(-k, idx)
+        assert all(_add_ref(br, int(a), int(b)) == br.zero for a, b in zip(acc, neg))
+    assert br.add_pow(0, idx).tolist() == [br.zero] * idx.size
 
 
 def test_spans(brace8):
@@ -209,14 +213,56 @@ def test_mpl2_brace_order():
     assert verify_brace(br)
 
 
-# -- array folds against the scalar API ---------------------------------------
+# -- the translation table and the folds against composition ---------------------
 
 # irretractable p = 5 members with row groups of order 625, 625 and 15625
 _P5_PHIS = [(0, 1, 4, 4, 1), (1, 0, 2, 2, 0), (0, 1, 1, 1, 1)]
 
 
+def _plus_ref(br, i, x):
+    """i + g_x by its definition, i o g_{i^{-1}(x)}, looked up by row."""
+    return br.index_of(br.elems[i][br.elems[br.gidx[br.inv_elems[i, x]]]])
+
+
+def _word(br, j):
+    out = []
+    while j != br.zero:
+        out.append(int(br.parent_point[j]))
+        j = int(br.parent_elem[j])
+    return out
+
+
+def _add_ref(br, i, j):
+    for z in _word(br, j):
+        i = _plus_ref(br, i, z)
+    return i
+
+
+def _lam_ref(br, i, j):
+    """lambda_i(j): lambda_i(g_z) = g_{i(z)}, summed over the word of j."""
+    acc = br.zero
+    for z in _word(br, j):
+        acc = _plus_ref(br, acc, int(br.elems[i, z]))
+    return acc
+
+
+def _neg_ref(br, i):
+    acc = br.zero
+    for z in _word(br, i):
+        acc = _add_ref(br, acc, int(br.neg_gen[z]))
+    return acc
+
+
 def _small_cycle_sets():
     return [to_cycle_set(q) for p in (2, 3) for q in enumerate_classes(p)]
+
+
+@pytest.mark.parametrize("cs", _small_cycle_sets() + [irr_cycle_set(5, _P5_PHIS[0], 1)])
+def test_translation_table_is_composition(cs):
+    br = build_perm_brace(cs)
+    want = [[_plus_ref(br, i, x) for x in range(br.n_points)] for i in range(br.order)]
+    assert br.plus.tolist() == want
+    assert all(_plus_ref(br, int(br.neg_gen[x]), x) == br.zero for x in range(br.n_points))
 
 
 @pytest.mark.parametrize(
@@ -225,21 +271,39 @@ def _small_cycle_sets():
 def test_array_folds_match_the_scalar_folds(cs):
     br = build_perm_brace(cs)
     i, j = np.random.default_rng(br.order).integers(br.order, size=(2, 120))
-    assert br.add_many(i, j).tolist() == [br.add(int(a), int(b)) for a, b in zip(i, j)]
-    assert br.lam_many(i, j).tolist() == [br.lam(int(a), int(b)) for a, b in zip(i, j)]
-    assert br.circ_many(i, j).tolist() == [br.circ(int(a), int(b)) for a, b in zip(i, j)]
-    assert br.neg_many(i).tolist() == [br.neg(int(a)) for a in i]
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert br.add_many(i, j).tolist() == [_add_ref(br, a, b) for a, b in pairs]
+    assert br.lam_many(i, j).tolist() == [_lam_ref(br, a, b) for a, b in pairs]
+    assert br.circ_many(i, j).tolist() == [br.circ(a, b) for a, b in pairs]
+    neg = br.neg_many(i)
+    assert neg.tolist() == [_neg_ref(br, a) for a in i.tolist()]
+    assert all(_add_ref(br, a, b) == br.zero for a, b in zip(i.tolist(), neg.tolist()))
+    assert [br.add(a, b) for a, b in pairs[:20]] == br.add_many(i[:20], j[:20]).tolist()
+    assert [br.lam(a, b) for a, b in pairs[:20]] == br.lam_many(i[:20], j[:20]).tolist()
+    assert [br.neg(a) for a in i[:20].tolist()] == neg[:20].tolist()
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_folds_keep_the_input_shape(brace81, shape):
+    br = brace81
+    i, j = np.random.default_rng(len(shape)).integers(br.order, size=(2, *shape))
+    add, lam, neg = br.add_many(i, j), br.lam_many(i, j), br.neg_many(i)
+    assert add.shape == lam.shape == neg.shape == shape
+    for k in np.ndindex(shape):
+        a, b = int(i[k]), int(j[k])
+        assert (add[k], lam[k], neg[k]) == (_add_ref(br, a, b), _lam_ref(br, a, b), _neg_ref(br, a))
+    if not shape:
+        assert br.add_many(int(i), int(j)).shape == ()
 
 
 def test_tables_match_the_scalar_api(brace81):
     br = brace81
     pairs = [(i, j) for i in range(br.order) for j in range(br.order)]
     shape = (br.order, br.order)
-    assert (br.add_table() == np.reshape([br.add(i, j) for i, j in pairs], shape)).all()
-    assert (br.lam_table() == np.reshape([br.lam(i, j) for i, j in pairs], shape)).all()
+    assert (br.add_table() == np.reshape([_add_ref(br, i, j) for i, j in pairs], shape)).all()
+    assert (br.lam_table() == np.reshape([_lam_ref(br, i, j) for i, j in pairs], shape)).all()
     assert (br.circ_table() == np.reshape([br.circ(i, j) for i, j in pairs], shape)).all()
     for i in (0, 5, 80):
-        assert br.translate_row(i).tolist() == br.add_table()[i].tolist()
         assert br.lam_row(i).tolist() == br.lam_table()[i].tolist()
 
 
@@ -247,32 +311,35 @@ def test_tables_match_the_scalar_api(brace81):
 
 
 def _reference_sampled(br, samples=300, seed=0):
-    """verify_brace's sampled path, one scalar triple at a time."""
+    """verify_brace's sampled path, one scalar triple at a time, on the
+    composition reference folds."""
     n = br.order
     rng = np.random.default_rng(seed)
+    add = lambda a, b: _add_ref(br, a, b)
+    lam = lambda a, b: _lam_ref(br, a, b)
     for _ in range(samples):
         a, b, c = (int(rng.integers(n)) for _ in range(3))
-        if br.add(a, b) != br.add(b, a):
+        if add(a, b) != add(b, a):
             raise InvariantViolation("addition is not commutative")
-        if br.add(br.add(a, b), c) != br.add(a, br.add(b, c)):
+        if add(add(a, b), c) != add(a, add(b, c)):
             raise InvariantViolation("addition is not associative")
-        if br.add(a, br.neg(a)) != br.zero:
+        if add(a, _neg_ref(br, a)) != br.zero:
             raise InvariantViolation("negation failed")
-        lhs = br.circ(a, br.add(b, c))
-        rhs = br.add(br.add(br.circ(a, b), br.neg(a)), br.circ(a, c))
+        lhs = br.circ(a, add(b, c))
+        rhs = add(add(br.circ(a, b), _neg_ref(br, a)), br.circ(a, c))
         if lhs != rhs:
             raise InvariantViolation("o is not distributive over + in the brace sense")
-        if br.lam(a, br.add(b, c)) != br.add(br.lam(a, b), br.lam(a, c)):
+        if lam(a, add(b, c)) != add(lam(a, b), lam(a, c)):
             raise InvariantViolation("lambda_a is not additive")
-        if br.lam(br.circ(a, b), c) != br.lam(a, br.lam(b, c)):
+        if lam(br.circ(a, b), c) != lam(a, lam(b, c)):
             raise InvariantViolation("lambda is not multiplicative in the subscript")
     return True
 
 
 def _reference_exhaustive(br):
     """verify_brace's exhaustive path with scalar tables: each row folds the
-    generators down the BFS tree, and each axiom is checked on every triple
-    before the next one."""
+    generators down the BFS tree by composition, and each axiom is checked
+    on every triple before the next one."""
     n, pe, pp = br.order, br.parent_elem, br.parent_point
     add = [[None] * n for _ in range(n)]
     lam = [[None] * n for _ in range(n)]
@@ -280,10 +347,10 @@ def _reference_exhaustive(br):
         add[i][br.zero], lam[i][br.zero] = i, br.zero
         for level in br.levels[1:]:
             for j in level.tolist():
-                add[i][j] = br.add_gen(add[i][pe[j]], int(pp[j]))
-                lam[i][j] = br.add_gen(lam[i][pe[j]], int(br.elems[i, pp[j]]))
+                add[i][j] = _plus_ref(br, add[i][pe[j]], int(pp[j]))
+                lam[i][j] = _plus_ref(br, lam[i][pe[j]], int(br.elems[i, pp[j]]))
     circ = [[br.circ(i, j) for j in range(n)] for i in range(n)]
-    neg = [br.neg(i) for i in range(n)]
+    neg = [_neg_ref(br, i) for i in range(n)]
     R = range(n)
     axioms = [
         ("addition is not commutative", lambda a, b, c: add[a][b] == add[b][a]),
@@ -310,11 +377,9 @@ def _reference_exhaustive(br):
 
 def _corrupt(br, kind):
     bad = copy.copy(br)
-    bad._words = {}
     if kind == "neg_gen":
-        bad._neg_gen = dict(br._neg_gen)
-        g = next(iter(bad._neg_gen))
-        bad._neg_gen[g] = g
+        bad.neg_gen = br.neg_gen.copy()
+        bad.neg_gen[0] = br.gidx[0]
         return bad
     # re-point one BFS edge at a point with another generator
     depth = 1 if kind == "parent_point_top" else len(br.levels) - 1

@@ -513,6 +513,17 @@ def test_cyclic_enumerate_at_a_huge_prime_prints_its_one_class(capsys):
     assert json.loads(out) == {"family": "cyclic", "p": 1000000000000000003}
 
 
+def test_enumerate_refuses_an_orbit_scan_larger_than_memory(capsys, monkeypatch):
+    from cyclesets import counting
+
+    # room for the 76,832 bytes of digit rows at p = 7, not for the whole scan
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25}
+    monkeypatch.setattr(counting.os, "sysconf", lambda name: pages[name])
+    code, out, err = run(capsys, "enumerate", "--p", "7", "--family", "irr")
+    _assert_one_line_error(code, out, err)
+    assert "physical memory" in err
+
+
 def test_enumerate_refuses_digit_rows_larger_than_memory(capsys):
     import time
 

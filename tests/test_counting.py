@@ -126,6 +126,18 @@ def test_mpl2_formula_matches_orbit_count(p):
     assert count_mpl2_by_enumeration(p) == count_formula(p).n_mpl2
 
 
+def test_orbit_scan_is_refused_on_its_whole_footprint(monkeypatch):
+    """At p = 7 the 2401 digit rows of width 4 take 76,832 bytes and fit in
+    102,400; the scan's full rows, images and keys do not."""
+    from cyclesets import counting
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 25}
+    monkeypatch.setattr(counting.os, "sysconf", lambda name: pages[name])
+    with pytest.raises(SizeTooLarge, match="physical memory"):
+        count_irr_by_enumeration(7)
+    assert count_irr_by_enumeration(3) == (2, 1)
+
+
 @pytest.mark.slow
 def test_irr_formula_matches_orbit_count_large():
     assert count_irr_by_enumeration(7) == (342, 65)

@@ -246,6 +246,7 @@ MALFORMED = [
     ((0, 1.0), (1, 0)),  # float
     ((1.5, 0), (1, 0)),
     ((True, False), (False, True)),  # bool
+    ((0, True), (1, 0)),  # a bool among ints, which numpy reads as an int
     np.array([[0, 1], [1, 0]], dtype=float),
     np.array([[1, 0], [0, 1]], dtype=bool),
     np.array([[1, 0], [0, None]], dtype=object),
