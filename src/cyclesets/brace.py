@@ -11,10 +11,11 @@ automorphism for every a, and lambda_a(g_x) = g_{a(x)}.
 G is closed by ``perms.closure``; its elements are indexed 0..order-1 in the
 closure's order (index 0 is the identity = additive zero).
 The one materialised table is the order x n_points translation table
-``plus[i, x] = i + g_x``, filled by a breadth-first search over the additive
-generators that also gives every element a generator word.  Sums,
-lambda-images, negatives and multiples fold those words through ``plus``
-with numpy gathers; composition alone goes through the element index.
+``plus[i, x] = i + g_x``, read off the closure's products i o g_k at
+k = i^{-1}(x).  A breadth-first search over ``plus`` gives every element a
+generator word.  Sums, lambda-images, negatives and multiples fold those
+words through ``plus`` with numpy gathers; composition alone goes through
+the brace's own element index, so ``verify_brace`` checks the two apart.
 """
 
 from __future__ import annotations
@@ -40,18 +41,20 @@ class BraceSubset:
 
 
 class PermBrace:
-    """Use build_perm_brace: ``elems`` is the closure of ``gens``, the inverse rows."""
+    """Use build_perm_brace: ``elems, mul = closure(gens)`` for the inverse
+    rows ``gens``, so ``mul[i, k]`` is the index of elems[i] o g_k."""
 
-    def __init__(self, elems, gens):
+    def __init__(self, elems, mul):
         order, n_points = elems.shape
         self.n_points = n_points
         self.elems = elems  # (order, n_points) int32, row i = permutation of element i
-        self._stride = stride = n_points * elems.itemsize
-        buf = elems.tobytes()
-        # row bytes -> element index
-        self._index = {buf[i * stride : (i + 1) * stride]: i for i in range(order)}
+        self._stride = n_points * elems.itemsize
+        keys = elems.view(np.dtype((np.void, self._stride))).ravel().tolist()  # row bytes
+        self._index = dict(zip(keys, range(order)))  # row bytes -> element index
         self.inv_elems = inverse_rows(elems)
-        self.gidx = self._lookup_many(gens)  # gidx[x] = index of g_x = (x*(-))^{-1}
+        self.gidx = mul[0].astype(np.int64)  # gidx[x] = index of g_x = (x*(-))^{-1}
+        # plus[i, x] = i + g_x = i o g_{i^{-1}(x)}
+        self.plus = np.take_along_axis(mul, self.inv_elems, 1).astype(np.int64)
         self.zero = 0
         self._build_additive_bfs()
 
@@ -59,7 +62,6 @@ class PermBrace:
 
     def _build_additive_bfs(self):
         order, n = self.elems.shape
-        self.plus = np.empty((order, n), dtype=np.int64)  # plus[i, x] = i + g_x
         self.parent_elem = np.full(order, -1, dtype=np.int64)
         self.parent_point = np.full(order, -1, dtype=np.int64)
         visited = np.zeros(order, dtype=bool)
@@ -68,9 +70,7 @@ class PermBrace:
         level = np.array([self.zero], dtype=np.int64)
         while level.size:
             self.levels.append(level)
-            # i + g_x = i o g_{i^{-1}(x)}, for every i in the level and every point x
-            dst = self.circ_many(np.repeat(level, n), self.gidx[self.inv_elems[level]].ravel())
-            self.plus[level] = dst.reshape(level.size, n)
+            dst = self.plus[level].ravel()
             fresh = np.flatnonzero(~visited[dst])
             # keep the first discovery of each element in this batch
             new, first = np.unique(dst[fresh], return_index=True)
@@ -80,9 +80,7 @@ class PermBrace:
             visited[new] = True
             level = new
         if not visited.all():
-            raise InconsistentAddition(
-                "additive generators do not span the permutation group"
-            )
+            raise InconsistentAddition("additive generators do not span the permutation group")
         # neg_gen[x] = -g_x: the last element before zero on the walk g_x, 2g_x, ...
         self.neg_gen = np.full(n, self.zero, dtype=np.int64)
         cur = self.plus[self.zero].copy()
@@ -119,9 +117,6 @@ class PermBrace:
 
     def circ(self, i: int, j: int) -> int:
         return self._lookup(self.elems[i][self.elems[j]])
-
-    def circ_inv(self, i: int) -> int:
-        return self._lookup(self.inv_elems[i])
 
     def circ_many(self, src: np.ndarray, other: np.ndarray) -> np.ndarray:
         rows = self.elems[src[:, None], self.elems[other]]  # row r: elems[src[r]] o elems[other[r]]
@@ -207,8 +202,7 @@ class PermBrace:
 
     def socle(self) -> BraceSubset:
         """a with lambda_a = id, i.e. g_{a(z)} = g_z for every point z."""
-        img = self.gidx[self.elems]
-        mask = (img == self.gidx[None, :]).all(axis=1)
+        mask = (self.gidx[self.elems] == self.gidx).all(axis=1)
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
     def fix(self) -> BraceSubset:
@@ -242,7 +236,7 @@ class PermBrace:
     def circ_span(self, indices) -> tuple[int, ...]:
         """Subgroup generated under o by the given elements."""
         rows = self.elems[[int(i) for i in indices]]
-        return tuple(sorted(self._lookup_many(closure(rows)).tolist()))
+        return tuple(sorted(self._lookup_many(closure(rows)[0]).tolist()))
 
     def _circ_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
         if S.size > 2048:
@@ -301,13 +295,11 @@ class PermBrace:
                 )
             else:
                 add_sub = has_zero and self._add_closed(S, members)
-        normal = True
-        for g in gens:
-            left = self.circ_row_left(g)
-            right = self.circ_row_right(self.circ_inv(g))
-            if not members[right[left[S]]].all():
-                normal = False
-                break
+        E = self.elems[S]
+        # g o s o g^{-1} for every s in S: one lookup of |S| rows per generator g
+        normal = all(
+            members[self._lookup_many(self.elems[g][E[:, self.inv_elems[g]]])].all() for g in gens
+        )
         left_ideal = add_sub and lam_stable
         ideal = left_ideal and circ_sub and normal
         return BraceSubset(idx, add_sub, circ_sub, left_ideal, ideal)
@@ -342,8 +334,7 @@ class PermBrace:
 def build_perm_brace(cs: CycleSet) -> PermBrace:
     """Close the inverse rows under composition and attach the brace structure."""
     assert_valid(cs)
-    gens = inverse_rows(np.array(cs.table, dtype=np.int32))
-    return PermBrace(closure(gens), gens)
+    return PermBrace(*closure(inverse_rows(np.array(cs.table, dtype=np.int32))))
 
 
 def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:

@@ -265,7 +265,7 @@ def _recover_alpha(cs: CycleSet, p: int) -> int:
     for i, block in enumerate(blocks):
         pos[list(block)] = i
     induced = list(map(tuple, pos[np.array(gens)[:, [block[0] for block in blocks]]].tolist()))
-    quotient = [tuple(h) for h in closure(induced, cap=100_000).tolist()]
+    quotient = [tuple(h) for h in closure(induced, cap=100_000)[0].tolist()]
     translations = [
         h for h in quotient if h == tuple(range(p)) or (perm_order(h) == p and all(h[i] != i for i in range(p)))
     ]

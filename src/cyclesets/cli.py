@@ -282,9 +282,10 @@ def cmd_oracle(args, parser) -> int:
 def cmd_brace(args, parser) -> int:
     cs = _cycle_set_of(load_document(args.infile))
     brace = build_perm_brace(cs)
+    doc = brace_to_dict(brace)  # refuses an oversized brace before the costlier check
     verify_brace(brace)
     with _out_stream(args.out) as out:
-        dump_line(brace_to_dict(brace), out)
+        dump_line(doc, out)
     return 0
 
 

@@ -2,11 +2,14 @@
 
 A permutation of degree n is a tuple ``p`` of length n with ``p[i]`` the image
 of ``i``.  Composition is right-to-left: ``compose(a, b)`` applies ``b`` first.
-``closure`` is the one group-closure engine; it works on int32 rows.
+``closure`` is the one group-closure engine; it works on int32 rows and also
+returns the index of every product element o generator that it forms.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import count, islice
 from math import lcm
 
 import numpy as np
@@ -67,45 +70,49 @@ def cycle_type(a: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def closure(gens, cap: int = 1_000_000) -> np.ndarray:
-    """The group generated by ``gens``, as an (order, n) int32 array.
+def closure(gens, cap: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
+    """The group generated by ``gens``, and the products formed closing it.
 
+    Returns ``(elems, mul)``: the (order, n) int32 element rows, and the int32
+    index ``mul[i, k]`` of elems[i] o gens[k], one column per given generator.
     Row 0 is the identity; the others follow in breadth-first discovery
-    order, where a frontier element f yields f∘g for each generator g in
-    turn (all products with the first generator, then the second, ...).
-    Rows are keyed by their bytes, and repeated generators are dropped in
-    first-appearance order.  Raises CapExceeded when the group would have
-    more than ``cap`` elements.
+    order, where a frontier element f yields f o g for each distinct
+    generator g in first-appearance order (all products with the first one,
+    then the second, ...).  Rows are keyed by their bytes.  Raises
+    CapExceeded when the group would have more than ``cap`` elements.
     """
     gens = np.array(gens, dtype=np.int32, ndmin=2)
     n = gens.shape[1]
     if n == 0:
         raise ValueError("closure needs the degree: pass at least one generator")
-    ident = np.arange(n, dtype=np.int32)
-    stride = ident.nbytes
-    buf = gens.tobytes()
+    row = np.dtype((np.void, 4 * n))  # one row's bytes, the element key
     first: dict[bytes, int] = {}
-    for i, r in enumerate(range(0, len(buf), stride)):
-        first.setdefault(buf[r : r + stride], i)
-    gens = gens[list(first.values())]
-    seen = {ident.tobytes()}
-    levels = [ident[None, :]]
+    keys = gens.view(row).ravel().tolist()
+    col = np.array([first.setdefault(k, len(first)) for k in keys], dtype=np.intp)
+    distinct = np.frombuffer(b"".join(first), dtype=np.int32).reshape(-1, n)
+    # row bytes -> element index, in discovery order; an unseen row takes the next index
+    index = defaultdict(count().__next__)
+    index[np.arange(n, dtype=np.int32).tobytes()]  # the identity is element 0
+    levels, mul = [np.arange(n, dtype=np.int32)[None, :]], []
     while len(levels[-1]):
-        frontier = levels[-1]
+        frontier, known = levels[-1], len(index)
+        idx = np.empty((len(distinct), len(frontier)), dtype=np.int32)
         # generators in groups of about 2**16 candidate rows, generator-major
         step = -(-(1 << 16) // len(frontier))
-        fresh = []
-        for s in range(0, len(gens), step):
-            buf = frontier[:, gens[s : s + step]].swapaxes(0, 1).tobytes()
-            for r in range(0, len(buf), stride):
-                key = buf[r : r + stride]
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(key)
-                    if len(seen) > cap:
-                        raise CapExceeded(cap)
+        for s in range(0, len(distinct), step):
+            cand = np.ascontiguousarray(frontier[:, distinct[s : s + step]].swapaxes(0, 1))
+            keys = cand.view(row).ravel().tolist()
+            got = np.fromiter(map(index.__getitem__, keys), dtype=np.int32, count=len(keys))
+            if len(index) > cap:
+                raise CapExceeded(cap)
+            idx[s : s + step] = got.reshape(-1, len(frontier))
+        mul.append(idx.take(col, axis=0).T)
+        fresh = list(islice(reversed(index), len(index) - known))[::-1]  # this level's keys
         levels.append(np.frombuffer(b"".join(fresh), dtype=np.int32).reshape(-1, n))
-    return np.concatenate(levels)
+    del index
+    elems = np.concatenate(levels)
+    del levels
+    return elems, np.concatenate(mul)
 
 
 def orbits(gens, n: int) -> tuple[tuple[int, ...], ...]:

@@ -6,6 +6,7 @@ import pytest
 from cyclesets import (
     InconsistentAddition,
     InvariantViolation,
+    PermBrace,
     SizeTooLarge,
     block_systems,
     build_perm_brace,
@@ -61,7 +62,7 @@ def test_brace_identities(brace8):
         assert br.add(a, br.zero) == a
         assert br.circ(a, br.zero) == a
         assert br.add(a, br.neg(a)) == br.zero
-        assert br.circ(a, br.circ_inv(a)) == br.zero
+        assert br.circ(a, br.index_of(br.inv_elems[a])) == br.zero
         assert br.lam(a, br.zero) == br.zero
         for b in range(n):
             assert br.add(a, b) == br.add(b, a)
@@ -145,32 +146,48 @@ def test_add_pow_scalar_matches_repeated_addition(brace81):
 
 
 def test_spans(brace8):
-    sigma0 = brace8.circ_inv(int(brace8.gidx[0]))
+    sigma0 = brace8.index_of(brace8.inv_elems[brace8.gidx[0]])
     assert brace8.perm(sigma0) == irr_cycle_set(2, (0, 1), 1).sigma(0)
     assert brace8.circ_span([]) == (brace8.zero,)
     assert sigma0 in brace8.circ_span([sigma0])
     assert len(brace8.circ_span(range(8))) == 8
 
 
-def test_classify_subset_tags_match_brute_force(brace8):
-    br = brace8
-    n = br.order
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        size = int(rng.integers(1, 6))
-        subset = sorted({br.zero, *rng.integers(0, n, size=size).tolist()})
-        tags = br.classify_subset(subset)
-        members = set(subset)
-        add_closed = all(br.add(a, b) in members for a in members for b in members)
-        circ_closed = all(br.circ(a, b) in members for a in members for b in members)
-        lam_stable = all(
-            br.lam(g, a) in members for g in range(n) for a in members
-        )
-        assert tags.add_subgroup == add_closed
-        assert tags.circ_subgroup == circ_closed
-        assert tags.left_ideal == (add_closed and lam_stable)
-        if tags.ideal:
-            assert tags.left_ideal and tags.circ_subgroup
+def _tags_by_brute_force(br, subset):
+    members = set(subset)
+    R = range(br.order)
+    add_closed = all(br.add(a, b) in members for a in members for b in members)
+    circ_closed = all(br.circ(a, b) in members for a in members for b in members)
+    lam_stable = all(br.lam(g, a) in members for g in R for a in members)
+    inv = [br.index_of(br.inv_elems[g]) for g in R]
+    normal = all(br.circ(br.circ(g, s), inv[g]) in members for g in R for s in members)
+    left_ideal = add_closed and lam_stable
+    return add_closed, circ_closed, left_ideal, left_ideal and circ_closed and normal
+
+
+def test_classify_subset_tags_match_brute_force(brace8, brace81):
+    # per brace: a proper nontrivial ideal (orders 4 and 27), then seeded draws
+    for br, ideal_gens in [(brace8, [5, 6]), (brace81, [28, 35])]:
+        n = br.order
+        rng = np.random.default_rng(3)
+        subsets = [[br.zero], br.circ_span(ideal_gens)]
+        # random subsets through zero, and o-subgroups spanned by one or two elements
+        subsets += [
+            sorted({br.zero, *rng.integers(0, n, size=int(rng.integers(1, 6))).tolist()})
+            for _ in range(25 if n <= 8 else 6)
+        ]
+        subsets += [
+            br.circ_span(rng.integers(0, n, size=int(rng.integers(1, 3))).tolist())
+            for _ in range(25 if n <= 8 else 8)
+        ]
+        decided = set()
+        for subset in subsets:
+            tags = br.classify_subset(subset)
+            got = (tags.add_subgroup, tags.circ_subgroup, tags.left_ideal, tags.ideal)
+            assert got == _tags_by_brute_force(br, subset), subset
+            if 1 < len(subset) < n:
+                decided.add(tags.ideal)
+        assert decided == {True, False}
 
 
 def test_block_stabilizer_is_not_an_ideal(brace81):
@@ -203,8 +220,20 @@ def test_table_guard(brace81):
 )
 def test_brace_elements_are_the_closure_of_the_inverse_rows(cs):
     br = build_perm_brace(cs)
-    assert (br.elems == closure([inverse(row) for row in cs.table])).all()
+    assert (br.elems == closure([inverse(row) for row in cs.table])[0]).all()
     assert [br.perm(int(g)) for g in br.gidx] == [inverse(row) for row in cs.table]
+
+
+def test_brace_is_built_without_row_lookups(monkeypatch):
+    """The closure's products give gidx and plus: construction looks up no row."""
+
+    def no_lookup(self, rows):
+        raise AssertionError("row lookup during construction")
+
+    monkeypatch.setattr(PermBrace, "_lookup_many", no_lookup)
+    for cs in _small_cycle_sets():
+        br = build_perm_brace(cs)
+        assert br.order == len(br.elems) and br.levels[0].tolist() == [br.zero]
 
 
 def test_mpl2_brace_order():

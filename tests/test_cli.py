@@ -246,6 +246,18 @@ def test_brace_dump(tmp_path, capsys):
     assert len(doc["add"]) == 8
 
 
+def test_brace_refuses_an_oversized_brace_before_verifying_it(tmp_path, capsys):
+    import time
+
+    path = tmp_path / "cyclic23.json"
+    path.write_text(json.dumps({"family": "cyclic", "p": 23}) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "brace", "--in", str(path))
+    assert time.perf_counter() - start < 3.0
+    _assert_one_line_error(code, out, err)
+    assert "group order 529 exceeds table bound 512" in err
+
+
 def test_emitted_objects_reverify(tmp_path, capsys):
     code, out, _ = run(capsys, "convert", "--family", "irr", "--p", "2", "--phi", "0,1")
     assert code == 0

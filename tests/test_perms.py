@@ -67,12 +67,24 @@ def test_is_perm():
     assert not is_perm((0, 3))
 
 
+def _assert_right_action(gens, elems, mul):
+    """mul[i, k] indexes elems[i] o gens[k], one int32 column per given generator."""
+    gens = np.array(gens, dtype=np.int32).reshape(-1, elems.shape[1])
+    assert mul.dtype == np.int32 and mul.shape == (len(elems), len(gens))
+    assert (elems[mul] == elems[:, gens]).all()  # [i, k, x] = elems[i][gens[k][x]]
+    assert (elems[mul[0]] == gens).all()
+
+
 def test_closure_trivial():
-    group = closure([identity(3)])
+    group, mul = closure([identity(3)])
     assert group.dtype == np.int32 and group.shape == (1, 3)
     assert group.tolist() == [list(identity(3))]
-    assert closure([(1, 0)]).tolist() == [[0, 1], [1, 0]]
-    assert closure(np.empty((0, 2), dtype=int)).tolist() == [[0, 1]]
+    assert mul.tolist() == [[0]]
+    group, mul = closure([(1, 0)])
+    assert group.tolist() == [[0, 1], [1, 0]] and mul.tolist() == [[1], [0]]
+    group, mul = closure(np.empty((0, 2), dtype=int))
+    assert group.tolist() == [[0, 1]]
+    assert mul.shape == (1, 0) and mul.dtype == np.int32
     with pytest.raises(ValueError):
         closure([])
 
@@ -80,17 +92,24 @@ def test_closure_trivial():
 def test_closure_of_irretractable_sigmas_has_order_eight():
     """The four row maps of the size-4 irretractable table generate a group of order 8."""
     gens = sigma_gens(irr_cycle_set(2, (0, 1), 1))
-    group = closure(gens)
+    group, mul = closure(gens)
     assert group.shape == (8, 4)
     assert group[0].tolist() == list(identity(4))
     assert len({tuple(row) for row in group.tolist()}) == 8
+    _assert_right_action(gens, group, mul)
 
 
 def test_closure_drops_repeated_generators_in_first_appearance_order():
     a, b = (1, 2, 0, 3), (0, 1, 3, 2)
-    group = closure([a, a, b, a, b])
+    gens = [a, a, b, a, b]
+    group, mul = closure(gens)
     assert group[:3].tolist() == [list(identity(4)), list(a), list(b)]
-    assert (group == closure([a, b])).all()
+    distinct, distinct_mul = closure([a, b])
+    assert (group == distinct).all()
+    _assert_right_action(gens, group, mul)
+    # the columns of a repeated generator are equal
+    assert (mul[:, [0, 1, 3]] == distinct_mul[:, [0]]).all()
+    assert (mul[:, [2, 4]] == distinct_mul[:, [1]]).all()
 
 
 def test_closure_cap():
@@ -133,7 +152,11 @@ def test_block_systems_of_irretractable_member():
 
 @given(perms_of(5), perms_of(5))
 def test_closure_contains_generators_and_products(a, b):
-    elems = {tuple(row) for row in closure([a, b]).tolist()}
+    group, mul = closure([a, b, a])
+    _assert_right_action([a, b, a], group, mul)
+    assert (mul[:, 0] == mul[:, 2]).all()
+    elems = {tuple(row) for row in group.tolist()}
+    assert len(elems) == len(group)
     assert a in elems and b in elems
     assert compose(a, b) in elems
     assert all(inverse(g) in elems for g in elems)
