@@ -3,7 +3,8 @@
 Isomorphisms are bijections f with f(x*y) = f(x)*'f(y).  The engine refines a
 colouring of the points (cycle type of the row, then iterated neighbourhood
 multisets) and backtracks over colour-respecting assignments, propagating
-forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped.
+forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped.  It
+refuses tables whose rows are not permutations, and checks each map it returns.
 
 Classification of an indecomposable cycle set of size p*p proceeds by
 retraction level: level 1 is the cyclic class; level 2 members are matched
@@ -14,6 +15,7 @@ canonical defect maps.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -28,7 +30,9 @@ from .cycleset import (
 from .counting import (
     _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
 )
-from .errors import BoundExceeded, NoMatch, NotIndecomposable, NotSizePSquared
+from .errors import (
+    BoundExceeded, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
+)
 from .families import (
     CyclicParams,
     FamilyParams,
@@ -37,7 +41,7 @@ from .families import (
     mpl2_params,
     to_cycle_set,
 )
-from .perms import Perm, closure, compose, cycle_type, inverse, perm_order
+from .perms import Perm, block_systems, closure, compose, cycle_type, inverse, perm_order
 
 # -- defect-map scaling action ------------------------------------------------
 
@@ -74,42 +78,38 @@ def canonical_mpl2_pair(p: int, phi, s: int) -> tuple[tuple[int, ...], int]:
 
 
 def _refine(tables):
-    """Joint colour refinement; colours are comparable across the tables."""
-    sizes = [len(t) for t in tables]
-    colours = []
+    """Joint colour refinement of equal-sized tables, colours comparable across them.
+
+    Colours start as first-appearance ids of the rows' cycle types.  Each round
+    ranks the keys (c[x], sorted triples (c[y], c[x*y], c[y*x])) over all points,
+    until no table gains a colour.  A key is held as the sorted integers
+    ((c[x]*N + c[y])*N + c[x*y])*N + c[y*x], N = k*n, in big-endian bytes, which
+    sort as the tuples do; N**4 fits an int64 for any table that fits in memory.
+    Raises RowsNotBijective for a row that is not a permutation: its cycle type
+    would not be a relabelling invariant.
+    """
+    k, n = len(tables), len(tables[0])
+    t = np.fromiter(chain.from_iterable(chain.from_iterable(tables)), np.intp, k * n * n).reshape(k, n, n)
+    if not (np.sort(t, axis=2) == np.arange(n)).all():
+        raise RowsNotBijective("iso and aut need a table whose rows are permutations")
     key_ids: dict = {}
-    for t in tables:
-        cs = []
-        for x in range(len(t)):
-            key = cycle_type(t[x])
-            if key not in key_ids:
-                key_ids[key] = len(key_ids)
-            cs.append(key_ids[key])
-        colours.append(cs)
+    c = [key_ids.setdefault(cycle_type(row), len(key_ids)) for tab in tables for row in tab]
+    counts = [len(set(c[s : s + n])) for s in range(0, k * n, n)]
+    ids = np.arange(k * n).reshape(k, n)  # the points, numbered table after table
+    idx = np.empty((4, k, n, n), dtype=np.intp)  # idx[:, x, y] = (x, y, x*y, y*x)
+    idx[0], idx[1], idx[2] = ids[:, :, None], ids[:, None, :], t + ids[:, :1, None]
+    idx[3] = idx[2].transpose(0, 2, 1)
+    w, key = (k * n) ** np.arange(3, -1, -1), np.dtype((np.void, 8 * n))
     while True:
-        keys = []
-        for t, cs in zip(tables, colours):
-            n = len(t)
-            keys.append(
-                [
-                    (
-                        cs[x],
-                        tuple(sorted((cs[y], cs[t[x][y]], cs[t[y][x]]) for y in range(n))),
-                    )
-                    for x in range(n)
-                ]
-            )
-        key_ids = {}
-        for ks in keys:
-            for key in sorted(set(ks)):
-                if key not in key_ids:
-                    key_ids[key] = None
-        for i, key in enumerate(sorted(key_ids)):
-            key_ids[key] = i
-        new = [[key_ids[key] for key in ks] for ks in keys]
-        if all(len(set(a)) == len(set(b)) for a, b in zip(colours, new)):
-            return new
-        colours = new
+        v = (w @ np.array(c)[idx].reshape(4, -1)).reshape(k * n, n)
+        v.sort(axis=1)
+        raw = v.byteswap().view(key).ravel().tolist()
+        rank = {r: i for i, r in enumerate(sorted(set(raw)))}
+        c = [rank[r] for r in raw]
+        new = [len(set(raw[s : s + n])) for s in range(0, k * n, n)]
+        if new == counts:
+            return [c[s : s + n] for s in range(0, k * n, n)]
+        counts = new
 
 
 def _search(ta, tb, ca, cb, find_all: bool):
@@ -193,7 +193,8 @@ def iso_cycle_sets(a: CycleSet, b: CycleSet) -> Perm | None:
     if not found:
         return None
     f = found[0]
-    assert _is_morphism(a.table, b.table, f)
+    if not _is_morphism(a.table, b.table, f):
+        raise InvariantViolation(f"the search returned a map that is not an isomorphism: {f}")
     return f
 
 
@@ -201,8 +202,10 @@ def automorphisms(cs: CycleSet) -> list[Perm]:
     """All table automorphisms, in lexicographic order."""
     c = _refine([cs.table])[0]
     found = _search(cs.table, cs.table, c, c, find_all=True)
+    t = np.array(cs.table)
     for f in found:
-        assert _is_morphism(cs.table, cs.table, f)
+        if not _is_morphism(t, t, f):
+            raise InvariantViolation(f"the search returned a map that is not an automorphism: {f}")
     return sorted(found)
 
 
@@ -256,8 +259,6 @@ def _enumerate_irr(p: int) -> list[IrrParams]:
 
 def _recover_alpha(cs: CycleSet, p: int) -> int:
     """Twist of an irretractable member, read off the block action."""
-    from .perms import block_systems
-
     gens = cs.table
     systems = block_systems(gens, cs.n)
     blocks = systems[0]

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InducedTableIllDefined, InvariantViolation
-from .perms import Perm, _UnionFind, is_perm, is_transitive
+from .perms import Perm, _UnionFind, block_systems, is_perm, is_transitive
 
 _Table = tuple[tuple[int, ...], ...]
 
@@ -260,8 +260,6 @@ def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]
     joins; a partition yields a quotient exactly when the induced table is
     well defined.  Requires an indecomposable input.
     """
-    from .perms import block_systems
-
     n = cs.n
     if n <= 1:
         return []

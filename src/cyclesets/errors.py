@@ -50,6 +50,10 @@ class NotSizePSquared(ValueError):
     """Classification only applies to cycle sets of size p*p, p prime."""
 
 
+class RowsNotBijective(ValueError):
+    """The iso/aut engine needs a table whose rows are permutations."""
+
+
 class NoMatch(ValueError):
     """The input matched no family member (would falsify the classification)."""
 

@@ -14,6 +14,7 @@ from math import lcm
 
 import numpy as np
 
+from .counting import is_prime
 from .errors import CapExceeded, NotTransitive
 
 Perm = tuple[int, ...]
@@ -159,41 +160,56 @@ class _UnionFind:
         return True
 
 
-def _minimal_block_system(gens, n: int, seed: int) -> tuple[tuple[int, ...], ...] | None:
-    """Finest block system whose block containing 0 also contains ``seed``.
-
-    Returns None when that system is the trivial one-block partition.
-    """
+def _seed_roots(rows, n: int, seed: int) -> list[int] | None:
+    """Each point's root in the finest <rows>-invariant partition joining 0
+    and ``seed`` (Atkinson's union-find), or None if that is one block."""
     uf = _UnionFind(n)
     uf.union(0, seed)
-    queue = [(0, seed)]
-    while queue:
+    joined, queue = 1, [(0, seed)]
+    while queue and joined < n - 1:
         a, b = queue.pop()
-        for g in gens:
-            ga, gb = g[a], g[b]
-            if uf.find(ga) != uf.find(gb):
-                uf.union(ga, gb)
-                queue.append((ga, gb))
-    blocks = {}
-    for x in range(n):
-        blocks.setdefault(uf.find(x), []).append(x)
-    if len(blocks) == 1:
-        return None
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+        for g in rows:
+            if uf.union(g[a], g[b]):
+                joined += 1
+                queue.append((g[a], g[b]))
+    return None if joined == n - 1 else [uf.find(x) for x in range(n)]
 
 
 def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Minimal nontrivial block systems of a transitive group on {0..n-1}.
+    """The systems of a transitive group on {0..n-1} spanned by the least block
+    holding 0 and s, for each s != 0 whose least block is not all the points.
 
-    Each system is a partition of the points: a tuple of sorted blocks, itself
-    sorted.  Raises NotTransitive if the group is not transitive.
+    All minimal nontrivial systems are listed, and not only those: for Z_8
+    acting regularly both {0, 4} and {0, 2, 4, 6} span one.  A system is a
+    sorted tuple of sorted blocks; the list is sorted.  Raises NotTransitive.
+
+    The union-find runs over a few generators, starting with the first; each
+    partition found is checked against every generator in one array test,
+    and the first one that breaks it joins the union-find, which is redone.
+    Seeds inside a found block of prime size are skipped: it is their block.
     """
-    gens = [tuple(g) for g in gens]
+    t = np.array(gens, dtype=np.intp).reshape(-1, n)
+    gens = t.tolist()
     if not is_transitive(gens, n):
         raise NotTransitive(f"group is not transitive on {n} points")
-    systems = set()
+    rows = gens[:1]
+    systems, skip = set(), set()
     for seed in range(1, n):
-        system = _minimal_block_system(gens, n, seed)
-        if system is not None:
-            systems.add(system)
+        if seed in skip:
+            continue
+        block = range(n)
+        while (roots := _seed_roots(rows, n, seed)) is not None:
+            root = np.array(roots)
+            moved = root[t]
+            bad = moved != moved[:, root]  # root[g[x]] != root[g[root[x]]]
+            if not bad.any():
+                blocks: dict[int, list[int]] = {}
+                for x, r in enumerate(roots):
+                    blocks.setdefault(r, []).append(x)
+                systems.add(tuple(sorted(map(tuple, blocks.values()))))
+                block = blocks[roots[0]]
+                break
+            rows.append(gens[int(bad.argmax()) // n])
+        if is_prime(len(block)):
+            skip.update(block)
     return sorted(systems)

@@ -3,13 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclesets.classify as classify_module
 from cyclesets import (
     BoundExceeded,
     CycleSet,
     CyclicParams,
+    InvariantViolation,
     IrrParams,
     NotIndecomposable,
     NotSizePSquared,
+    RowsNotBijective,
     automorphisms,
     brute_aut,
     brute_iso,
@@ -18,6 +21,7 @@ from cyclesets import (
     classify_size_p2,
     compose,
     count_formula,
+    cycle_type,
     cyclic_cycle_set,
     deform,
     enumerate_classes,
@@ -73,6 +77,86 @@ def test_canonical_mpl2_pair_joint_scaling():
     assert canonical_mpl2_pair(3, (0, 1, 1), 0) == canonical_mpl2_pair(3, (0, 2, 2), 0)
     # scaling only the shift changes the class
     assert canonical_mpl2_pair(3, (0, 1, 1), 1) != canonical_mpl2_pair(3, (0, 1, 1), 2)
+
+
+# -- colour refinement ----------------------------------------------------------
+
+
+def _refine_reference(tables):
+    """Joint colour refinement, one Python loop over the triples per round."""
+    key_ids: dict = {}
+    colours = [[key_ids.setdefault(cycle_type(row), len(key_ids)) for row in t] for t in tables]
+    while True:
+        keys = [
+            [
+                (cs[x], tuple(sorted((cs[y], cs[t[x][y]], cs[t[y][x]]) for y in range(len(t)))))
+                for x in range(len(t))
+            ]
+            for t, cs in zip(tables, colours)
+        ]
+        ids = {key: i for i, key in enumerate(sorted({key for ks in keys for key in ks}))}
+        new = [[ids[key] for key in ks] for ks in keys]
+        if all(len(set(a)) == len(set(b)) for a, b in zip(colours, new)):
+            return new
+        colours = new
+
+
+_REFINE_PARAMS = [q for p in (2, 3, 5) for q in enumerate_classes(p)] + enumerate_classes(7, family="irr")
+
+
+def _relabeled_member(data):
+    cs = to_cycle_set(data.draw(st.sampled_from(_REFINE_PARAMS)))
+    return relabel(cs, tuple(data.draw(st.permutations(range(cs.n)))))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_refine_matches_reference_on_relabeled_members(data):
+    a = _relabeled_member(data)
+    b = relabel(a, tuple(data.draw(st.permutations(range(a.n)))))
+    assert classify_module._refine([a.table]) == _refine_reference([a.table])
+    assert classify_module._refine([a.table, b.table]) == _refine_reference([a.table, b.table])
+    other = _relabeled_member(data)
+    if other.n == a.n:
+        assert classify_module._refine([a.table, other.table]) == _refine_reference([a.table, other.table])
+
+
+def _permutation_rows(n):
+    return st.lists(st.permutations(range(n)).map(tuple), min_size=n, max_size=n).map(tuple)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_permutation_rows(n), _permutation_rows(n))))
+@settings(max_examples=80, deadline=None)
+def test_refine_matches_reference_on_random_permutation_tables(pair):
+    a, b = pair
+    assert classify_module._refine([a]) == _refine_reference([a])
+    assert classify_module._refine([a, b]) == _refine_reference([a, b])
+
+
+def test_engine_refuses_rows_that_are_not_permutations():
+    """x*y = x: the swap is an automorphism, and cycle types of such rows are no invariant."""
+    cs = CycleSet(((0, 0), (1, 1)))
+    assert brute_aut(cs) == [(0, 1), (1, 0)]
+    with pytest.raises(RowsNotBijective):
+        automorphisms(cs)
+    with pytest.raises(RowsNotBijective):
+        iso_cycle_sets(cs, cs)
+    with pytest.raises(RowsNotBijective):
+        iso_cycle_sets(cyclic_cycle_set(2), cs)
+
+
+def test_certificates_refuse_a_map_that_is_not_a_morphism(monkeypatch):
+    a = irr_cycle_set(3, (0, 1, 1), 1)
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    b = relabel(a, swap)
+    assert swap not in automorphisms(a)  # so a != b, and the identity is no isomorphism a -> b
+    assert iso_cycle_sets(a, b) is not None
+    monkeypatch.setattr(classify_module, "_search", lambda *args, **kwargs: [tuple(range(9))])
+    with pytest.raises(InvariantViolation):
+        iso_cycle_sets(a, b)
+    monkeypatch.setattr(classify_module, "_search", lambda *args, **kwargs: [tuple(range(9)), swap])
+    with pytest.raises(InvariantViolation):
+        automorphisms(a)
 
 
 # -- the backtracking isomorphism engine --------------------------------------

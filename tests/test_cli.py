@@ -173,6 +173,15 @@ def test_aut_count(tmp_path, capsys):
     assert len(doc["maps"]) == 3
 
 
+def test_aut_and_iso_refuse_rows_that_are_not_permutations(tmp_path, capsys):
+    bad = write_cycle_set(tmp_path, CycleSet(((0, 0), (1, 1))), "bad.json")
+    good = write_cycle_set(tmp_path, cyclic_cycle_set(2), "good.json")
+    for argv in (("aut", "--in", bad), ("iso", "--in", bad, bad), ("iso", "--in", good, bad)):
+        code, out, err = run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert "permutations" in err
+
+
 def test_retract(tmp_path, capsys):
     path = write_cycle_set(tmp_path, mpl2_cycle_set(2, (2,), (0, 1), 0))
     code, out, err = run(capsys, "retract", "--in", path)

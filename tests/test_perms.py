@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclesets import (
     CapExceeded,
+    NotTransitive,
     block_systems,
     closure,
     compose,
     cycle_type,
+    enumerate_classes,
     identity,
     inverse,
     irr_cycle_set,
@@ -15,7 +17,9 @@ from cyclesets import (
     is_transitive,
     orbits,
     perm_order,
+    relabel,
     sigma_gens,
+    to_cycle_set,
 )
 
 perms_of = lambda n: st.permutations(range(n)).map(tuple)
@@ -148,6 +152,108 @@ def test_block_systems_of_irretractable_member():
     # odd p: exactly one system, the rows {a} x Z_p
     gens = sigma_gens(irr_cycle_set(3, (0, 1, 1), 1))
     assert block_systems(gens, 9) == [((0, 1, 2), (3, 4, 5), (6, 7, 8))]
+
+
+def test_block_systems_of_regular_z8_include_non_minimal_ones():
+    """Each least block through 0 and one more point spans a listed system, so
+    {0, 2, 4, 6} is listed beside the minimal {0, 4}."""
+    assert block_systems([(1, 2, 3, 4, 5, 6, 7, 0)], 8) == [
+        ((0, 2, 4, 6), (1, 3, 5, 7)),
+        ((0, 4), (1, 5), (2, 6), (3, 7)),
+    ]
+
+
+def test_block_systems_refuse_intransitive_groups():
+    with pytest.raises(NotTransitive):
+        block_systems([(1, 0, 2, 3)], 4)
+
+
+def _block_systems_reference(gens, n):
+    """Atkinson's union-find over every generator, from every seed."""
+    systems = set()
+    for seed in range(1, n):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        parent[seed] = 0
+        queue = [(0, seed)]
+        while queue:
+            a, b = queue.pop()
+            for g in gens:
+                ra, rb = find(g[a]), find(g[b])
+                if ra != rb:
+                    parent[rb] = ra
+                    queue.append((g[a], g[b]))
+        blocks: dict = {}
+        for x in range(n):
+            blocks.setdefault(find(x), []).append(x)
+        if len(blocks) > 1:
+            systems.add(tuple(sorted(map(tuple, blocks.values()))))
+    return sorted(systems)
+
+
+def test_block_systems_match_reference_on_small_groups():
+    z8 = [(1, 2, 3, 4, 5, 6, 7, 0)]
+    sym4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    klein = [(1, 0, 3, 2), (2, 3, 0, 1)]
+    for gens, n in ((z8, 8), (sym4, 4), (klein, 4)):
+        assert block_systems(gens, n) == _block_systems_reference(gens, n)
+
+
+_MEMBERS_TO_FIVE = [q for p in (2, 3, 5) for q in enumerate_classes(p)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_systems_match_reference_on_relabeled_members(data):
+    cs = to_cycle_set(data.draw(st.sampled_from(_MEMBERS_TO_FIVE)))
+    cs = relabel(cs, tuple(data.draw(st.permutations(range(cs.n)))))
+    assert block_systems(cs.table, cs.n) == _block_systems_reference(cs.table, cs.n)
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.lists(perms_of(n), min_size=2, max_size=3)))
+@settings(max_examples=80, deadline=None)
+def test_block_systems_match_reference_on_random_groups(gens):
+    n = len(gens[0])
+    assume(is_transitive(gens, n))
+    assert block_systems(gens, n) == _block_systems_reference(gens, n)
+
+
+def _imprimitive_gens(data):
+    """2-3 random elements of S_a wr S_b on a*b points, relabelled at random."""
+    a, b = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
+    n = a * b
+    conj = data.draw(perms_of(n))
+    back = inverse(conj)
+    gens = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        outer = data.draw(perms_of(b))
+        inner = [data.draw(perms_of(a)) for _ in range(b)]
+        g = [outer[i // a] * a + inner[i // a][i % a] for i in range(n)]
+        gens.append(tuple(conj[g[back[x]]] for x in range(n)))
+    return gens, n
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_systems_match_reference_on_imprimitive_groups(data):
+    gens, n = _imprimitive_gens(data)
+    assume(is_transitive(gens, n))
+    assert block_systems(gens, n) == _block_systems_reference(gens, n)
+
+
+@pytest.mark.slow
+def test_block_systems_of_relabeled_irretractable_member_at_23():
+    p = 23
+    cs = irr_cycle_set(p, tuple(a * a % p for a in range(p)), 1)
+    cs = relabel(cs, tuple(np.random.default_rng(23).permutation(p * p).tolist()))
+    systems = block_systems(cs.table, cs.n)
+    assert len(systems) == 1
+    assert len(systems[0]) == p and all(len(block) == p for block in systems[0])
 
 
 @given(perms_of(5), perms_of(5))
