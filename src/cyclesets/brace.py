@@ -8,19 +8,21 @@ g_x = (x*(-))^{-1}.  G carries an abelian addition determined by
 which makes (G, +, o) a brace: lambda_a(b) = -a + a o b is an additive
 automorphism for every a, and lambda_a(g_x) = g_{a(x)}.
 
-G is closed by ``perms.closure``; its elements are indexed 0..order-1 in the
-closure's order (index 0 is the identity = additive zero).
-The one materialised table is the order x n_points translation table
-``plus[i, x] = i + g_x``, read off the closure's products i o g_k at
-k = i^{-1}(x).  A breadth-first search over ``plus`` gives every element a
-generator word.  Sums, lambda-images, negatives and multiples fold those
-words through ``plus`` with numpy gathers; composition alone goes through
-the brace's own element index, so ``verify_brace`` checks the two apart.
+G is closed by ``perms.closure``; element i is row i of its result, and
+element 0 (the identity) is the additive zero.  The one table kept is
+``plus[i, x] = i + g_x``, read off the closure's products.  A breadth-first
+search over ``plus`` gives every element a generator word, and each
+operation folds words through ``plus``: i + j adds j's letters g_z to i,
+lambda_i(j) adds the twisted letters g_{i(z)} to zero, and
+i o j = i + lambda_i(j) adds them to i.  No fold looks up a row, so
+``verify_brace`` checks o against the composition of the rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +47,8 @@ class PermBrace:
     rows ``gens``, so ``mul[i, k]`` is the index of elems[i] o g_k."""
 
     def __init__(self, elems, mul):
-        order, n_points = elems.shape
-        self.n_points = n_points
+        self.n_points = elems.shape[1]
         self.elems = elems  # (order, n_points) int32, row i = permutation of element i
-        self._stride = n_points * elems.itemsize
-        keys = elems.view(np.dtype((np.void, self._stride))).ravel().tolist()  # row bytes
-        self._index = dict(zip(keys, range(order)))  # row bytes -> element index
         self.inv_elems = inverse_rows(elems)
         self.gidx = mul[0].astype(np.int64)  # gidx[x] = index of g_x = (x*(-))^{-1}
         # plus[i, x] = i + g_x = i o g_{i^{-1}(x)}
@@ -62,10 +60,8 @@ class PermBrace:
 
     def _build_additive_bfs(self):
         order, n = self.elems.shape
-        self.parent_elem = np.full(order, -1, dtype=np.int64)
-        self.parent_point = np.full(order, -1, dtype=np.int64)
-        visited = np.zeros(order, dtype=bool)
-        visited[self.zero] = True
+        self.parent_elem, self.parent_point = np.full((2, order), -1, dtype=np.int64)
+        visited = np.arange(order) == self.zero
         self.levels = []
         level = np.array([self.zero], dtype=np.int64)
         while level.size:
@@ -74,9 +70,8 @@ class PermBrace:
             fresh = np.flatnonzero(~visited[dst])
             # keep the first discovery of each element in this batch
             new, first = np.unique(dst[fresh], return_index=True)
-            k, x = np.divmod(fresh[first], n)
+            k, self.parent_point[new] = np.divmod(fresh[first], n)
             self.parent_elem[new] = level[k]
-            self.parent_point[new] = x
             visited[new] = True
             level = new
         if not visited.all():
@@ -90,7 +85,7 @@ class PermBrace:
             cur[live] = self.plus[cur[live], live]
             live = live[cur[live] != self.zero]
 
-    # -- low level lookups -------------------------------------------------
+    # -- elements --------------------------------------------------------------
 
     @property
     def order(self) -> int:
@@ -99,38 +94,19 @@ class PermBrace:
     def perm(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.elems[i])
 
-    def _lookup(self, row) -> int:
-        return self._index[np.ascontiguousarray(row, dtype=self.elems.dtype).tobytes()]
+    @cached_property
+    def _index(self) -> dict:
+        """Row bytes -> element index, built on the first index_of call."""
+        keys = self.elems.view(np.dtype((np.void, self.elems.strides[0]))).ravel().tolist()
+        return dict(zip(keys, range(self.order)))
 
     def index_of(self, perm) -> int:
         try:
-            return self._lookup(perm)
+            return self._index[np.ascontiguousarray(perm, dtype=self.elems.dtype).tobytes()]
         except KeyError:
             raise ValueError("permutation is not in the group") from None
 
-    def _lookup_many(self, rows: np.ndarray) -> np.ndarray:
-        arr = np.ascontiguousarray(rows, dtype=self.elems.dtype)
-        keys = arr.view(np.dtype((np.void, self._stride))).ravel().tolist()  # row bytes
-        return np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(keys))
-
-    # -- group operations ----------------------------------------------------
-
-    def circ(self, i: int, j: int) -> int:
-        return self._lookup(self.elems[i][self.elems[j]])
-
-    def circ_many(self, src: np.ndarray, other: np.ndarray) -> np.ndarray:
-        rows = self.elems[src[:, None], self.elems[other]]  # row r: elems[src[r]] o elems[other[r]]
-        return self._lookup_many(rows)
-
-    def circ_row_left(self, i: int) -> np.ndarray:
-        """All products i o j as an index array over j."""
-        return self._lookup_many(self.elems[i][self.elems])
-
-    def circ_row_right(self, i: int) -> np.ndarray:
-        """All products j o i as an index array over j."""
-        return self._lookup_many(self.elems[:, self.elems[i]])
-
-    # -- additive structure --------------------------------------------------
+    # -- folds over index arrays ----------------------------------------------
 
     def _fold_words(self, acc, j, step) -> np.ndarray:
         """Fold the generator word of each j[k] onto acc[k], one letter per
@@ -151,11 +127,19 @@ class PermBrace:
         """i + j, elementwise."""
         return self._fold_words(i, j, lambda acc, z, k: self.plus[acc, z])
 
-    def lam_many(self, i, j) -> np.ndarray:
-        """lambda_i(j) = -i + i o j, elementwise: lambda_i(g_z) = g_{i(z)}."""
+    def _lam_from(self, acc, i, j) -> np.ndarray:
+        """acc + lambda_i(j), elementwise: lambda_i(g_z) = g_{i(z)}."""
         i = np.asarray(i, dtype=np.int64).reshape(-1)
         step = lambda acc, z, k: self.plus[acc, self.elems[i[k], z]]
-        return self._fold_words(np.full(np.shape(j), self.zero), j, step)
+        return self._fold_words(acc, j, step)
+
+    def lam_many(self, i, j) -> np.ndarray:
+        """lambda_i(j) = -i + i o j, elementwise."""
+        return self._lam_from(np.full(np.shape(j), self.zero), i, j)
+
+    def circ_many(self, i, j) -> np.ndarray:
+        """i o j = i + lambda_i(j), elementwise."""
+        return self._lam_from(i, i, j)
 
     def neg_many(self, i) -> np.ndarray:
         """-i, elementwise."""
@@ -174,20 +158,44 @@ class PermBrace:
             k >>= 1
         return acc
 
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_many(i, j))
-
-    def lam(self, i: int, j: int) -> int:
-        return int(self.lam_many(i, j))
-
     def neg(self, i: int) -> int:
         return int(self.neg_many(i))
 
-    # -- whole-row maps (O(order) each) ---------------------------------------
+    @cached_property
+    def _scalar(self) -> tuple[array, array, list]:
+        """plus and elems as flat Python arrays, and each element's word as a
+        tuple of letters in _fold_words' order, built on the first scalar call."""
+        pe, pp = self.parent_elem.tolist(), self.parent_point.tolist()
+        words = [()] * self.order
+        for j in np.concatenate(self.levels)[1:].tolist():  # parents come first
+            words[j] = (pp[j], *words[pe[j]])
+        flat = lambda a: array("q", a.astype(np.int64).tobytes())
+        return flat(self.plus), flat(self.elems), words
 
-    def _fold_levels(self, start, pts) -> np.ndarray:
-        """out[j] = out[parent_elem[j]] + g_{pts[j]}, level by level down the
-        BFS tree from out[zero] = start; trailing axes fold side by side."""
+    def _fold(self, acc: int, j: int, i: int = 0) -> int:
+        """acc + lambda_i(j) (lambda_0 is the identity), one letter at a time."""
+        plus, elems, words = self._scalar
+        n, acc, row = self.n_points, int(acc), int(i) * self.n_points
+        for z in words[j]:
+            acc = plus[acc * n + elems[row + z]]
+        return acc
+
+    def add(self, i: int, j: int) -> int:
+        return self._fold(i, j)
+
+    def lam(self, i: int, j: int) -> int:
+        return self._fold(self.zero, j, i)
+
+    def circ(self, i: int, j: int) -> int:
+        return self._fold(i, j, i)
+
+    # -- folds down the BFS levels (O(order) each) ------------------------------
+
+    def _fold_levels(self, start, i) -> np.ndarray:
+        """out[j] = start + lambda_i(j) (lambda_0 is the identity) for every j,
+        level by level down the BFS tree; an index array i (and start) runs
+        along a trailing axis."""
+        pts = self.elems[i].T[self.parent_point]  # pts[j] = i(z) for the last letter z of j
         out = np.empty(pts.shape, dtype=np.int64)
         out[self.zero] = start
         for level in self.levels[1:]:
@@ -196,7 +204,15 @@ class PermBrace:
 
     def lam_row(self, i: int) -> np.ndarray:
         """out[j] = lambda_i(j) for every j."""
-        return self._fold_levels(self.zero, self.elems[i].astype(np.int64)[self.parent_point])
+        return self._fold_levels(self.zero, i)
+
+    def circ_row_left(self, i: int) -> np.ndarray:
+        """All products i o j as an index array over j."""
+        return self._fold_levels(i, i)
+
+    def circ_row_right(self, i: int) -> np.ndarray:
+        """All products j o i as an index array over j."""
+        return self.circ_many(np.arange(self.order), np.full(self.order, i))
 
     # -- distinguished subsets -------------------------------------------------
 
@@ -206,10 +222,7 @@ class PermBrace:
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
     def fix(self) -> BraceSubset:
-        """Elements fixed by lambda_s for every s.
-
-        The generators suffice since lambda is multiplicative.
-        """
+        """Elements fixed by every lambda_s; the generators suffice, as lambda is multiplicative."""
         cand = np.arange(self.order)
         for g in np.unique(self.gidx):
             lr = self.lam_row(int(g))
@@ -235,30 +248,33 @@ class PermBrace:
 
     def circ_span(self, indices) -> tuple[int, ...]:
         """Subgroup generated under o by the given elements."""
-        rows = self.elems[[int(i) for i in indices]]
-        return tuple(sorted(self._lookup_many(closure(rows)[0]).tolist()))
+        return tuple(np.flatnonzero(self._saturate(indices)).tolist())
 
-    def _circ_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
-        if S.size > 2048:
-            raise SizeTooLarge("subset too large for a pairwise closure check")
-        E = self.elems[S]
-        for row in E:
-            if not members[self._lookup_many(row[E])].all():
-                return False
-        return True
+    def _saturate(self, gens, span=None) -> np.ndarray:
+        """The mask of the o-subgroup generated by ``gens`` and the subgroup
+        ``span`` (zero alone by default), which it grows in place."""
+        span = np.arange(self.order) == self.zero if span is None else span
+        gens = np.fromiter(gens, dtype=np.int64)
+        new = np.flatnonzero(span)
+        while new.size:
+            got = self.circ_many(np.repeat(new, gens.size), np.tile(gens, new.size))
+            new = np.unique(got[~span[got]])
+            span[new] = True
+        return span
 
-    def _add_closed(self, S: np.ndarray, members: np.ndarray) -> bool:
-        if S.size > 128:
+    def _closed(self, S: np.ndarray, members: np.ndarray, op, limit: int) -> bool:
+        """Whether op(s, t) is a member for all s, t in S, one t at a time."""
+        if S.size > limit:
             raise SizeTooLarge("subset too large for a pairwise closure check")
-        return bool(members[self.add_many(*np.meshgrid(S, S))].all())
+        return all(members[op(S, np.full(S.size, t))].all() for t in S.tolist())
 
     def _circ_gens_of_subgroup(self, S: np.ndarray) -> list[int]:
         gens: list[int] = []
-        span = {self.zero}
+        span = self._saturate(gens)
         for s in S.tolist():
-            if s not in span:
-                gens.append(int(s))
-                span = set(self.circ_span(gens))
+            if not span[s]:
+                gens.append(s)
+                self._saturate(gens, span)
         return gens
 
     def classify_subset(
@@ -274,32 +290,26 @@ class PermBrace:
         if len(idx) == self.order:
             return BraceSubset(idx, True, True, True, True)
         S = np.array(idx, dtype=np.int64)
-        members = np.zeros(self.order, dtype=bool)
-        members[S] = True
+        members = np.isin(np.arange(self.order), S)
         has_zero = bool(members[self.zero])
-        gens = [int(g) for g in np.unique(self.gidx)]
+        gens, points = np.unique(self.gidx, return_index=True)  # g_x for one x per generator
         lam_stable = all(members[self.lam_row(g)[S]].all() for g in gens)
         add_sub, circ_sub = known_add_subgroup, known_circ_subgroup
+        if not (circ_sub or (add_sub and lam_stable)):
+            circ_sub = has_zero and self._closed(S, members, self.circ_many, 2048)
         if lam_stable and (add_sub or circ_sub):
             add_sub = circ_sub = True
-        if not circ_sub:
-            circ_sub = has_zero and self._circ_closed(S, members)
-            if circ_sub and lam_stable:
-                add_sub = True
         if not add_sub:
             if circ_sub:
                 # an o-subgroup is +-closed iff stable under its own lambdas
-                add_sub = all(
-                    members[self.lam_row(s)[S]].all()
-                    for s in self._circ_gens_of_subgroup(S)
-                )
+                gens_S = self._circ_gens_of_subgroup(S)
+                add_sub = all(members[self.lam_row(s)[S]].all() for s in gens_S)
             else:
-                add_sub = has_zero and self._add_closed(S, members)
-        E = self.elems[S]
-        # g o s o g^{-1} for every s in S: one lookup of |S| rows per generator g
-        normal = all(
-            members[self._lookup_many(self.elems[g][E[:, self.inv_elems[g]]])].all() for g in gens
-        )
+                add_sub = has_zero and self._closed(S, members, self.add_many, 128)
+        # g_x o S = S o g_x as sets for every generator, where s o g_x = s + g_{s(x)}
+        left = self.circ_many(np.repeat(gens, S.size), np.tile(S, len(gens)))
+        right = self.plus[S, self.elems[S][:, points].T]
+        normal = bool((np.sort(left.reshape(right.shape), axis=1) == np.sort(right, axis=1)).all())
         left_ideal = add_sub and lam_stable
         ideal = left_ideal and circ_sub and normal
         return BraceSubset(idx, add_sub, circ_sub, left_ideal, ideal)
@@ -308,27 +318,21 @@ class PermBrace:
 
     def _guard(self, max_order: int):
         if self.order > max_order:
-            raise SizeTooLarge(
-                f"group order {self.order} exceeds table bound {max_order}"
-            )
+            raise SizeTooLarge(f"group order {self.order} exceeds table bound {max_order}")
 
     def circ_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        out = np.empty((self.order, self.order), dtype=np.int64)
-        for level in self.levels:
-            rows = self.elems[:, self.elems[level]].reshape(-1, self.n_points)
-            out[:, level] = self._lookup_many(rows).reshape(self.order, level.size)
-        return out
+        every = np.arange(self.order)
+        return np.ascontiguousarray(self._fold_levels(every, every).T)
 
     def add_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        pts = np.broadcast_to(self.parent_point[:, None], (self.order, self.order))
-        return np.ascontiguousarray(self._fold_levels(np.arange(self.order), pts).T)
+        every = np.arange(self.order)
+        return np.ascontiguousarray(self._fold_levels(every, 0 * every).T)
 
     def lam_table(self, max_order: int = 512) -> np.ndarray:
         self._guard(max_order)
-        pts = self.elems.astype(np.int64)[:, self.parent_point].T
-        return np.ascontiguousarray(self._fold_levels(self.zero, pts).T)
+        return np.ascontiguousarray(self._fold_levels(self.zero, np.arange(self.order)).T)
 
 
 def build_perm_brace(cs: CycleSet) -> PermBrace:
@@ -341,11 +345,12 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
     """Spot-check the brace axioms; exhaustive when the order is small.
 
     Checks: (G,+) abelian group with the computed negatives, lambda_a is an
-    additive automorphism, lambda is multiplicative in its subscript, and the
-    compatibility a o (b + c) = a o b - a + a o c.  Raises InvariantViolation
-    on any failure.
+    additive automorphism, lambda is multiplicative in its subscript, the
+    compatibility a o (b + c) = a o b - a + a o c, and, since o is folded
+    from + and lambda, that it is the composition of the rows.  Raises
+    InvariantViolation on any failure.
     """
-    n = brace.order
+    e, n = brace.elems, brace.order
     if n <= 96:
         # int16 tables: the order^3 gathers below then move a quarter of the bytes
         add = brace.add_table(max_order=96).astype(np.int16)
@@ -357,17 +362,16 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
         neg = brace.neg_many(np.arange(n))
         if not (add[np.arange(n), neg] == brace.zero).all():
             raise InvariantViolation("negation failed")
-        lhs = circ[:, add]  # a o (b + c)
-        ab = circ[:, :, None]  # a o b
-        ac = circ[:, None, :]  # a o c
-        rhs = add[add[ab, neg[:, None, None]], ac]  # (a o b) - a + (a o c)
-        if not (lhs == rhs).all():
+        rhs = add[add[circ[:, :, None], neg[:, None, None]], circ[:, None, :]]  # a o b - a + a o c
+        if not (circ[:, add] == rhs).all():  # a o (b + c) on the left
             raise InvariantViolation("o is not distributive over + in the brace sense")
         lam = brace.lam_table(max_order=96).astype(np.int16)
         if not (lam[:, add] == add[lam[:, :, None], lam[:, None, :]]).all():
             raise InvariantViolation("lambda_a is not additive")
         if not (lam[circ] == lam[:, lam]).all():
             raise InvariantViolation("lambda is not multiplicative in the subscript")
+        if not (e[circ] == e[:, e]).all():
+            raise InvariantViolation("o is not the composition of the permutations")
         return True
 
     # one draw of shape (samples, 3) yields the same values as 3 * samples scalar draws
@@ -381,6 +385,7 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
         ("o is not distributive over + in the brace sense", circ(a, bc) != add(add(ab, neg_a), ac)),
         ("lambda_a is not additive", lam(a, bc) != add(lam(a, b), lam(a, c))),
         ("lambda is not multiplicative in the subscript", lam(ab, c) != lam(a, lam(b, c))),
+        ("o is not the composition of the permutations", (e[ab] != e[a[:, None], e[b]]).any(1)),
     ]
     bad = np.array([failed for _, failed in checks])  # (axiom, sample)
     if bad.any():

@@ -41,7 +41,7 @@ from .families import (
     mpl2_params,
     to_cycle_set,
 )
-from .perms import Perm, block_systems, closure, compose, cycle_type, inverse, perm_order
+from .perms import Perm, block_systems, cycle_type
 
 # -- defect-map scaling action ------------------------------------------------
 
@@ -258,31 +258,25 @@ def _enumerate_irr(p: int) -> list[IrrParams]:
 
 
 def _recover_alpha(cs: CycleSet, p: int) -> int:
-    """Twist of an irretractable member, read off the block action."""
-    gens = cs.table
-    systems = block_systems(gens, cs.n)
-    blocks = systems[0]
+    """Twist of an irretractable member, read off the block action: the rows
+    act on the p blocks as t -> alpha*t + c with one alpha, so h0 o h1^{-1} is
+    a translation tau for rows h0 != h1, and tau^k(0) -> k numbers the blocks."""
+    blocks = np.array(block_systems(cs.table, cs.n)[0])  # block i is row i
     pos = np.empty(cs.n, dtype=np.intp)
-    for i, block in enumerate(blocks):
-        pos[list(block)] = i
-    induced = list(map(tuple, pos[np.array(gens)[:, [block[0] for block in blocks]]].tolist()))
-    quotient = [tuple(h) for h in closure(induced, cap=100_000)[0].tolist()]
-    translations = [
-        h for h in quotient if h == tuple(range(p)) or (perm_order(h) == p and all(h[i] != i for i in range(p)))
-    ]
-    if len(translations) != p:
-        raise NoMatch("block action has no regular translation subgroup")
-    tau = next(h for h in translations if h != tuple(range(p)))
-    h = next((g for g in induced if g not in translations), None)
-    if h is None:
-        return 1
-    conj = compose(compose(h, tau), inverse(h))
-    power = tau
-    for k in range(1, p):
-        if power == conj:
-            return k
-        power = compose(power, tau)
-    raise NoMatch("block conjugation does not normalise the translations")
+    pos[blocks] = np.arange(len(blocks))[:, None]
+    h = pos[np.array(cs.table)[:, blocks[:, 0]]]
+    h1 = next((row for row in h if (row != h[0]).any()), np.arange(p))  # else h0 is tau
+    tau = h[0][np.argsort(h1)]
+    orbit = [0]
+    for _ in range(p - 1):
+        orbit.append(int(tau[orbit[-1]]))
+    if sorted(orbit) != list(range(p)):
+        raise NoMatch("block action has no regular translation")
+    rows = np.argsort(orbit)[h[:, orbit]]  # rows[r, k]: coordinate of row r's image of block k
+    alpha = int(rows[0, 1] - rows[0, 0]) % p
+    if not (rows == (alpha * np.arange(p) + rows[:, :1]) % p).all():
+        raise NoMatch("block action is not t -> alpha*t + c with one alpha")
+    return alpha
 
 
 def classify_size_p2(cs: CycleSet) -> FamilyParams:

@@ -6,7 +6,6 @@ import pytest
 from cyclesets import (
     InconsistentAddition,
     InvariantViolation,
-    PermBrace,
     SizeTooLarge,
     block_systems,
     build_perm_brace,
@@ -157,10 +156,10 @@ def _tags_by_brute_force(br, subset):
     members = set(subset)
     R = range(br.order)
     add_closed = all(br.add(a, b) in members for a in members for b in members)
-    circ_closed = all(br.circ(a, b) in members for a in members for b in members)
+    circ_closed = all(_circ_ref(br, a, b) in members for a in members for b in members)
     lam_stable = all(br.lam(g, a) in members for g in R for a in members)
     inv = [br.index_of(br.inv_elems[g]) for g in R]
-    normal = all(br.circ(br.circ(g, s), inv[g]) in members for g in R for s in members)
+    normal = all(_circ_ref(br, _circ_ref(br, g, s), inv[g]) in members for g in R for s in members)
     left_ideal = add_closed and lam_stable
     return add_closed, circ_closed, left_ideal, left_ideal and circ_closed and normal
 
@@ -206,7 +205,7 @@ def test_tables_round_trip(brace8):
     assert circ[0].tolist() == list(range(8))
     for i in range(8):
         for j in range(8):
-            assert circ[i, j] == brace8.circ(i, j)
+            assert circ[i, j] == _circ_ref(brace8, i, j)
             assert add[i, j] == brace8.add(i, j)
 
 
@@ -224,16 +223,19 @@ def test_brace_elements_are_the_closure_of_the_inverse_rows(cs):
     assert [br.perm(int(g)) for g in br.gidx] == [inverse(row) for row in cs.table]
 
 
-def test_brace_is_built_without_row_lookups(monkeypatch):
-    """The closure's products give gidx and plus: construction looks up no row."""
-
-    def no_lookup(self, rows):
-        raise AssertionError("row lookup during construction")
-
-    monkeypatch.setattr(PermBrace, "_lookup_many", no_lookup)
+def test_brace_builds_no_row_index():
+    """The closure's products give gidx and plus, and every operation folds
+    words through plus: only index_of builds the row index, on its first call."""
     for cs in _small_cycle_sets():
         br = build_perm_brace(cs)
         assert br.order == len(br.elems) and br.levels[0].tolist() == [br.zero]
+        br.socle(), br.fix(), br.circ_center()
+        br.block_stabilizer(block_systems(sigma_gens(cs), cs.n)[0])
+        assert br.circ_span(br.gidx[:2].tolist())[0] == br.zero
+        assert br.circ_table().shape == (br.order, br.order)
+        assert verify_brace(br)
+        assert "_index" not in vars(br)
+    assert br.index_of(br.elems[-1]) == br.order - 1 and "_index" in vars(br)
 
 
 def test_mpl2_brace_order():
@@ -246,6 +248,11 @@ def test_mpl2_brace_order():
 
 # irretractable p = 5 members with row groups of order 625, 625 and 15625
 _P5_PHIS = [(0, 1, 4, 4, 1), (1, 0, 2, 2, 0), (0, 1, 1, 1, 1)]
+
+
+def _circ_ref(br, a, b):
+    """a o b by its definition, the composition of the rows, looked up by row."""
+    return br.index_of(br.elems[a][br.elems[b]])
 
 
 def _plus_ref(br, i, x):
@@ -303,12 +310,13 @@ def test_array_folds_match_the_scalar_folds(cs):
     pairs = list(zip(i.tolist(), j.tolist()))
     assert br.add_many(i, j).tolist() == [_add_ref(br, a, b) for a, b in pairs]
     assert br.lam_many(i, j).tolist() == [_lam_ref(br, a, b) for a, b in pairs]
-    assert br.circ_many(i, j).tolist() == [br.circ(a, b) for a, b in pairs]
+    assert br.circ_many(i, j).tolist() == [_circ_ref(br, a, b) for a, b in pairs]
     neg = br.neg_many(i)
     assert neg.tolist() == [_neg_ref(br, a) for a in i.tolist()]
     assert all(_add_ref(br, a, b) == br.zero for a, b in zip(i.tolist(), neg.tolist()))
     assert [br.add(a, b) for a, b in pairs[:20]] == br.add_many(i[:20], j[:20]).tolist()
     assert [br.lam(a, b) for a, b in pairs[:20]] == br.lam_many(i[:20], j[:20]).tolist()
+    assert [br.circ(a, b) for a, b in pairs[:20]] == br.circ_many(i[:20], j[:20]).tolist()
     assert [br.neg(a) for a in i[:20].tolist()] == neg[:20].tolist()
 
 
@@ -331,7 +339,7 @@ def test_tables_match_the_scalar_api(brace81):
     shape = (br.order, br.order)
     assert (br.add_table() == np.reshape([_add_ref(br, i, j) for i, j in pairs], shape)).all()
     assert (br.lam_table() == np.reshape([_lam_ref(br, i, j) for i, j in pairs], shape)).all()
-    assert (br.circ_table() == np.reshape([br.circ(i, j) for i, j in pairs], shape)).all()
+    assert (br.circ_table() == np.reshape([_circ_ref(br, i, j) for i, j in pairs], shape)).all()
     for i in (0, 5, 80):
         assert br.lam_row(i).tolist() == br.lam_table()[i].tolist()
 
@@ -346,6 +354,7 @@ def _reference_sampled(br, samples=300, seed=0):
     rng = np.random.default_rng(seed)
     add = lambda a, b: _add_ref(br, a, b)
     lam = lambda a, b: _lam_ref(br, a, b)
+    circ = lambda a, b: _circ_ref(br, a, b)
     for _ in range(samples):
         a, b, c = (int(rng.integers(n)) for _ in range(3))
         if add(a, b) != add(b, a):
@@ -354,14 +363,16 @@ def _reference_sampled(br, samples=300, seed=0):
             raise InvariantViolation("addition is not associative")
         if add(a, _neg_ref(br, a)) != br.zero:
             raise InvariantViolation("negation failed")
-        lhs = br.circ(a, add(b, c))
-        rhs = add(add(br.circ(a, b), _neg_ref(br, a)), br.circ(a, c))
+        lhs = circ(a, add(b, c))
+        rhs = add(add(circ(a, b), _neg_ref(br, a)), circ(a, c))
         if lhs != rhs:
             raise InvariantViolation("o is not distributive over + in the brace sense")
         if lam(a, add(b, c)) != add(lam(a, b), lam(a, c)):
             raise InvariantViolation("lambda_a is not additive")
-        if lam(br.circ(a, b), c) != lam(a, lam(b, c)):
+        if lam(circ(a, b), c) != lam(a, lam(b, c)):
             raise InvariantViolation("lambda is not multiplicative in the subscript")
+        if (br.elems[circ(a, b)] != br.elems[a][br.elems[b]]).any():
+            raise InvariantViolation("o is not the composition of the permutations")
     return True
 
 
@@ -378,7 +389,7 @@ def _reference_exhaustive(br):
             for j in level.tolist():
                 add[i][j] = _plus_ref(br, add[i][pe[j]], int(pp[j]))
                 lam[i][j] = _plus_ref(br, lam[i][pe[j]], int(br.elems[i, pp[j]]))
-    circ = [[br.circ(i, j) for j in range(n)] for i in range(n)]
+    circ = [[_circ_ref(br, i, j) for j in range(n)] for i in range(n)]
     neg = [_neg_ref(br, i) for i in range(n)]
     R = range(n)
     axioms = [
@@ -397,6 +408,10 @@ def _reference_exhaustive(br):
             "lambda is not multiplicative in the subscript",
             lambda a, b, c: lam[circ[a][b]][c] == lam[a][lam[b][c]],
         ),
+        (
+            "o is not the composition of the permutations",
+            lambda a, b, c: (br.elems[circ[a][b]] == br.elems[a][br.elems[b]]).all(),
+        ),
     ]
     for message, holds in axioms:
         if not all(holds(a, b, c) for a in R for b in R for c in R):
@@ -410,6 +425,12 @@ def _corrupt(br, kind):
         bad.neg_gen = br.neg_gen.copy()
         bad.neg_gen[0] = br.gidx[0]
         return bad
+    if kind == "parent_elem":
+        # hang one element of level 2 under another element of level 1
+        j = int(br.levels[2][0])
+        bad.parent_elem = br.parent_elem.copy()
+        bad.parent_elem[j] = next(int(e) for e in br.levels[1] if e != br.parent_elem[j])
+        return bad
     # re-point one BFS edge at a point with another generator
     depth = 1 if kind == "parent_point_top" else len(br.levels) - 1
     j = int(br.levels[depth][0])
@@ -419,13 +440,16 @@ def _corrupt(br, kind):
     return bad
 
 
+_KINDS = ["neg_gen", "parent_elem", "parent_point_top", "parent_point_deep"]
+
+
 def _message(check, *args, **kwargs):
     with pytest.raises(InvariantViolation) as info:
         check(*args, **kwargs)
     return str(info.value)
 
 
-@pytest.mark.parametrize("kind", ["neg_gen", "parent_point_top", "parent_point_deep"])
+@pytest.mark.parametrize("kind", _KINDS)
 def test_exhaustive_verify_raises_the_reference_message(kind):
     br = build_perm_brace(mpl2_cycle_set(3, (3,), (0, 1, 1), (1,)))
     assert br.order == 27 and verify_brace(br) and _reference_exhaustive(br)
@@ -433,7 +457,7 @@ def test_exhaustive_verify_raises_the_reference_message(kind):
     assert _message(verify_brace, bad) == _message(_reference_exhaustive, bad)
 
 
-@pytest.mark.parametrize("kind", ["neg_gen", "parent_point_top", "parent_point_deep"])
+@pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_verify_raises_the_reference_message(kind, seed):
     br = build_perm_brace(irr_cycle_set(5, _P5_PHIS[0], 1))
@@ -441,6 +465,23 @@ def test_sampled_verify_raises_the_reference_message(kind, seed):
     bad = _corrupt(br, kind)
     got = _message(verify_brace, bad, seed=seed)
     assert got == _message(_reference_sampled, bad, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "cs", [mpl2_cycle_set(3, (3,), (0, 1, 1), (1,)), mpl2_cycle_set(5, (5,), (0, 0, 0, 0, 1), (0,))]
+)
+def test_verify_checks_o_against_composition(cs):
+    """Right-multiplying every row by a socle element s leaves each lambda_a
+    as it was (lambda_s = id), so the six brace axioms still hold; only the
+    composition check sees that row a o b is no longer elems[a] o elems[b]."""
+    br = build_perm_brace(cs)
+    assert br.order in (27, 3125) and verify_brace(br)
+    s = br.socle().indices[1]
+    bad = copy.copy(br)
+    bad.elems = br.elems[:, br.elems[s]]
+    i, j = np.random.default_rng(0).integers(br.order, size=(2, 300))
+    assert (bad.lam_many(i, j) == br.lam_many(i, j)).all()
+    assert _message(verify_brace, bad) == "o is not the composition of the permutations"
 
 
 @pytest.mark.parametrize("n", [125, 625, 15625])

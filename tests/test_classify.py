@@ -10,6 +10,7 @@ from cyclesets import (
     CyclicParams,
     InvariantViolation,
     IrrParams,
+    NoMatch,
     NotIndecomposable,
     NotSizePSquared,
     RowsNotBijective,
@@ -351,6 +352,30 @@ def test_classify_twisted_member():
     perm = tuple(rng.sample(range(49), 49))
     moved = relabel(irr_cycle_set(7, P7_PHI, 2), perm)
     assert classify_size_p2(moved) == IrrParams(7, P7_PHI, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_alpha_is_read_off_the_block_action(p):
+    """Every irretractable class at p <= 5, and at p = 7 every twisted one
+    plus a sample, relabelled, gives back its alpha."""
+    rng = random.Random(p)
+    classes = enumerate_classes(p, family="irr")
+    if p == 7:
+        classes = [q for q in classes if q.alpha != 1] + rng.sample(classes, 24)
+    for params in classes:
+        cs = to_cycle_set(params)
+        perm = tuple(rng.sample(range(cs.n), cs.n))
+        assert classify_module._recover_alpha(relabel(cs, perm), p) == params.alpha
+
+
+def test_recover_alpha_refuses_two_slopes():
+    # on the blocks {5t, ..., 5t + 4}: one row acts as t -> t + 1, one as t -> 2t
+    shift = [5 * ((x // 5 + 1) % 5) + x % 5 for x in range(25)]
+    double = [5 * (2 * (x // 5) % 5) + x % 5 for x in range(25)]
+    inner = [5 * (x // 5) + (x + 1) % 5 for x in range(25)]
+    assert classify_module._recover_alpha(CycleSet([shift, inner] + [inner] * 23), 5) == 1
+    with pytest.raises(NoMatch):
+        classify_module._recover_alpha(CycleSet([shift, double] + [inner] * 23), 5)
 
 
 def test_classify_rejects_wrong_sizes():
