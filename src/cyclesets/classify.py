@@ -80,20 +80,21 @@ def canonical_mpl2_pair(p: int, phi, s: int) -> tuple[tuple[int, ...], int]:
 def _refine(tables):
     """Joint colour refinement of equal-sized tables, colours comparable across them.
 
-    Colours start as first-appearance ids of the rows' cycle types.  Each round
-    ranks the keys (c[x], sorted triples (c[y], c[x*y], c[y*x])) over all points,
-    until no table gains a colour.  A key is held as the sorted integers
+    ``tables`` is any array-like of k tables of n rows.  Colours start as
+    first-appearance ids of the rows' cycle types.  Each round ranks the keys
+    (c[x], sorted triples (c[y], c[x*y], c[y*x])) over all points, until no
+    table gains a colour.  A key is held as the sorted integers
     ((c[x]*N + c[y])*N + c[x*y])*N + c[y*x], N = k*n, in big-endian bytes, which
     sort as the tuples do; N**4 fits an int64 for any table that fits in memory.
     Raises RowsNotBijective for a row that is not a permutation: its cycle type
     would not be a relabelling invariant.
     """
-    k, n = len(tables), len(tables[0])
-    t = np.fromiter(chain.from_iterable(chain.from_iterable(tables)), np.intp, k * n * n).reshape(k, n, n)
+    t = np.asarray(tables, dtype=np.intp)
+    k, n = t.shape[:2]
     if not (np.sort(t, axis=2) == np.arange(n)).all():
         raise RowsNotBijective("iso and aut need a table whose rows are permutations")
     key_ids: dict = {}
-    c = [key_ids.setdefault(cycle_type(row), len(key_ids)) for tab in tables for row in tab]
+    c = [key_ids.setdefault(cycle_type(row), len(key_ids)) for row in t.reshape(k * n, n).tolist()]
     counts = [len(set(c[s : s + n])) for s in range(0, k * n, n)]
     ids = np.arange(k * n).reshape(k, n)  # the points, numbered table after table
     idx = np.empty((4, k, n, n), dtype=np.intp)  # idx[:, x, y] = (x, y, x*y, y*x)
@@ -113,45 +114,43 @@ def _refine(tables):
 
 
 def _search(ta, tb, ca, cb, find_all: bool):
-    """Colour-respecting isomorphisms ta -> tb; first one, or all of them."""
+    """Colour-respecting isomorphisms ta -> tb; first one, or all of them.
+
+    ``dom`` lists the mapped points in the order they were mapped: it is the
+    propagation queue, and a branch is undone by unmapping its tail.
+    """
     n = len(ta)
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
     f = [-1] * n
     g = [-1] * n
+    dom: list[int] = []
     found: list[Perm] = []
 
-    def propagate(seed: int):
-        made = []
-        queue = [seed]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in range(n):
-                if f[w] == -1:
-                    continue
+    def propagate(i: int) -> bool:
+        """Map what dom[i:] forces, pairing each point with those mapped before it."""
+        while i < len(dom):
+            u = dom[i]
+            i += 1
+            for w in dom[:i]:
                 for x, y in ((u, w), (w, u)):
                     pxy = ta[x][y]
                     qxy = tb[f[x]][f[y]]
                     if f[pxy] == -1:
                         if g[qxy] != -1 or ca[pxy] != cb[qxy]:
-                            return made, False
+                            return False
                         f[pxy] = qxy
                         g[qxy] = pxy
-                        made.append(pxy)
-                        queue.append(pxy)
+                        dom.append(pxy)
                     elif f[pxy] != qxy:
-                        return made, False
-        return made, True
-
-    def undo(made):
-        for x in made:
-            g[f[x]] = -1
-            f[x] = -1
+                        return False
+        return True
 
     def extend() -> bool:
+        if len(dom) == n:
+            found.append(tuple(f))
+            return not find_all
         pivot, cands = -1, None
         for x in range(n):
             if f[x] != -1:
@@ -161,52 +160,49 @@ def _search(ta, tb, ca, cb, find_all: bool):
                 pivot, cands = x, cs
                 if not cs:
                     return False
-        if cands is None:
-            found.append(tuple(f))
-            return not find_all
+        k = len(dom)
         for v in cands:
             f[pivot] = v
             g[v] = pivot
-            made, ok = propagate(pivot)
-            if ok and extend():
-                undo(made)
-                f[pivot] = -1
-                g[v] = -1
+            dom.append(pivot)
+            done = propagate(k) and extend()
+            for x in dom[k:]:
+                g[f[x]] = -1
+                f[x] = -1
+            del dom[k:]
+            if done:
                 return True
-            undo(made)
-            f[pivot] = -1
-            g[v] = -1
         return False
 
     extend()
     return found
 
 
+def _isomorphisms(a: CycleSet, b: CycleSet, find_all: bool) -> list[Perm]:
+    """The search's isomorphisms a -> b, each checked against the tables."""
+    n, tables = a.n, (a.table,) if a is b else (a.table, b.table)
+    if b.n != n:
+        return []
+    t = np.fromiter(chain.from_iterable(chain.from_iterable(tables)), np.intp, len(tables) * n * n).reshape(-1, n, n)
+    colours = _refine(t)
+    ca, cb = colours[0], colours[-1]
+    if sorted(ca) != sorted(cb):
+        return []
+    found = _search(a.table, b.table, ca, cb, find_all)
+    for f in found:
+        if not _is_morphism(t[0], t[-1], f):
+            raise InvariantViolation(f"the search returned a map that is not an isomorphism: {f}")
+    return found
+
+
 def iso_cycle_sets(a: CycleSet, b: CycleSet) -> Perm | None:
     """A point bijection carrying a's table to b's, or None."""
-    if a.n != b.n:
-        return None
-    ca, cb = _refine([a.table, b.table])
-    if sorted(ca) != sorted(cb):
-        return None
-    found = _search(a.table, b.table, ca, cb, find_all=False)
-    if not found:
-        return None
-    f = found[0]
-    if not _is_morphism(a.table, b.table, f):
-        raise InvariantViolation(f"the search returned a map that is not an isomorphism: {f}")
-    return f
+    return next(iter(_isomorphisms(a, b, find_all=False)), None)
 
 
 def automorphisms(cs: CycleSet) -> list[Perm]:
     """All table automorphisms, in lexicographic order."""
-    c = _refine([cs.table])[0]
-    found = _search(cs.table, cs.table, c, c, find_all=True)
-    t = np.array(cs.table)
-    for f in found:
-        if not _is_morphism(t, t, f):
-            raise InvariantViolation(f"the search returned a map that is not an automorphism: {f}")
-    return sorted(found)
+    return sorted(_isomorphisms(cs, cs, find_all=True))
 
 
 # -- enumeration of class representatives --------------------------------------

@@ -1,16 +1,15 @@
 """Permutations as tuples, plus the group machinery built on them.
 
 A permutation of degree n is a tuple ``p`` of length n with ``p[i]`` the image
-of ``i``.  Composition is right-to-left: ``compose(a, b)`` applies ``b`` first.
-``closure`` is the one group-closure engine; it works on int32 rows and also
-returns the index of every product element o generator that it forms.
+of ``i``.  ``closure`` is the one group-closure engine; it works on int32 rows
+and also returns the index of every product element o generator that it forms.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import count, islice
-from math import lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -22,11 +21,6 @@ Perm = tuple[int, ...]
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Return a∘b, the map x -> a[b[x]]."""
-    return tuple(a[x] for x in b)
 
 
 def inverse(a: Perm) -> Perm:
@@ -45,12 +39,10 @@ def inverse_rows(t) -> np.ndarray:
 
 
 def is_perm(seq) -> bool:
+    """True for a sequence of integers (numpy's too, bools not) listing 0..n-1 once each."""
     n = len(seq)
-    return all(isinstance(x, int) and 0 <= x < n for x in seq) and len(set(seq)) == n
-
-
-def perm_order(a: Perm) -> int:
-    return lcm(*cycle_type(a))
+    ints = all(isinstance(x, Integral) and not isinstance(x, bool) and 0 <= x < n for x in seq)
+    return ints and len(set(seq)) == n
 
 
 def cycle_type(a: Perm) -> tuple[int, ...]:

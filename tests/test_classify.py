@@ -13,6 +13,7 @@ from cyclesets import (
     NoMatch,
     NotIndecomposable,
     NotSizePSquared,
+    Perm,
     RowsNotBijective,
     automorphisms,
     brute_aut,
@@ -20,7 +21,6 @@ from cyclesets import (
     canonical_mpl2_pair,
     canonical_phi,
     classify_size_p2,
-    compose,
     count_formula,
     cycle_type,
     cyclic_cycle_set,
@@ -163,6 +163,107 @@ def test_certificates_refuse_a_map_that_is_not_a_morphism(monkeypatch):
 # -- the backtracking isomorphism engine --------------------------------------
 
 
+def _search_reference(ta, tb, ca, cb, find_all: bool):
+    """The search as it was with a separate queue, undo log and all-n scan."""
+    n = len(ta)
+    by_colour: dict[int, list[int]] = {}
+    for v in range(n):
+        by_colour.setdefault(cb[v], []).append(v)
+    f = [-1] * n
+    g = [-1] * n
+    found: list[Perm] = []
+
+    def propagate(seed: int):
+        made = []
+        queue = [seed]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for w in range(n):
+                if f[w] == -1:
+                    continue
+                for x, y in ((u, w), (w, u)):
+                    pxy = ta[x][y]
+                    qxy = tb[f[x]][f[y]]
+                    if f[pxy] == -1:
+                        if g[qxy] != -1 or ca[pxy] != cb[qxy]:
+                            return made, False
+                        f[pxy] = qxy
+                        g[qxy] = pxy
+                        made.append(pxy)
+                        queue.append(pxy)
+                    elif f[pxy] != qxy:
+                        return made, False
+        return made, True
+
+    def undo(made):
+        for x in made:
+            g[f[x]] = -1
+            f[x] = -1
+
+    def extend() -> bool:
+        pivot, cands = -1, None
+        for x in range(n):
+            if f[x] != -1:
+                continue
+            cs = [v for v in by_colour.get(ca[x], ()) if g[v] == -1]
+            if cands is None or len(cs) < len(cands):
+                pivot, cands = x, cs
+                if not cs:
+                    return False
+        if cands is None:
+            found.append(tuple(f))
+            return not find_all
+        for v in cands:
+            f[pivot] = v
+            g[v] = pivot
+            made, ok = propagate(pivot)
+            if ok and extend():
+                undo(made)
+                f[pivot] = -1
+                g[v] = -1
+                return True
+            undo(made)
+            f[pivot] = -1
+            g[v] = -1
+        return False
+
+    extend()
+    return found
+
+
+def _assert_iso_matches_reference(a, b):
+    ca, cb = classify_module._refine([a.table, b.table])
+    first = _search_reference(a.table, b.table, ca, cb, False) if sorted(ca) == sorted(cb) else []
+    assert iso_cycle_sets(a, b) == (first[0] if first else None)
+
+
+def _assert_aut_matches_reference(a):
+    c = classify_module._refine([a.table])[0]
+    assert automorphisms(a) == sorted(_search_reference(a.table, a.table, c, c, True))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_search_matches_reference_on_members(data):
+    a = _relabeled_member(data)
+    _assert_aut_matches_reference(a)
+    _assert_iso_matches_reference(a, relabel(a, tuple(data.draw(st.permutations(range(a.n))))))
+    other = _relabeled_member(data)
+    if other.n == a.n:
+        _assert_iso_matches_reference(a, other)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_permutation_rows(n), _permutation_rows(n), st.permutations(range(n)))))
+@settings(max_examples=80, deadline=None)
+def test_search_matches_reference_on_random_permutation_tables(triple):
+    a, b = CycleSet(triple[0]), CycleSet(triple[1])
+    _assert_aut_matches_reference(a)
+    _assert_iso_matches_reference(a, b)
+    _assert_iso_matches_reference(a, relabel(a, tuple(triple[2])))
+
+
 def test_iso_self_is_identity_like():
     cs = irr_cycle_set(3, (0, 1, 1), 1)
     found = iso_cycle_sets(cs, cs)
@@ -229,6 +330,10 @@ def test_automorphism_count_formula_alpha_one(p, phi):
     assert count == p * len(phi_stabilizer(p, phi))
 
 
+def _compose(a, b):
+    return tuple(a[x] for x in b)
+
+
 def _scaling_perm(p, alpha):
     return tuple(((alpha * a) % p) * p + (alpha * x) % p for a in range(p) for x in range(p))
 
@@ -246,7 +351,7 @@ def test_automorphisms_of_twisted_table_form_the_centraliser():
     twisted = deform(base, phi)
     aut_base = automorphisms(base)
     assert len(aut_base) == 21
-    centraliser = {g for g in aut_base if compose(g, phi) == compose(phi, g)}
+    centraliser = {g for g in aut_base if _compose(g, phi) == _compose(phi, g)}
     assert set(automorphisms(twisted)) == centraliser
 
 
@@ -261,7 +366,7 @@ def test_no_coprime_twists_below_seven(p2_members, p3_members):
                 order = 1
                 h = g
                 while h != tuple(range(cs.n)):
-                    h = compose(g, h)
+                    h = _compose(g, h)
                     order += 1
                 while order % p == 0:
                     order //= p

@@ -1,5 +1,6 @@
 """The scripts under scripts/ and the benchmark's smoke run, end to end."""
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -43,6 +44,22 @@ def test_hunt_size_nine_reports_an_incomplete_budgeted_run(capsys):
 def test_deep_checks_p7_group_order(capsys):
     assert load("deep_checks_p7").main(["--closure"]) == 0
     assert "order 352947 = 3*7^6 is True" in capsys.readouterr().out
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's tracer wraps exists under its name, looked
+    up as the tracer does (a module attribute, or an entry of a class's
+    __dict__), without installing the tracer."""
+    traced = load("tracer", SCRIPTS.parent / "perfbench").TRACED
+    missing = []
+    for mod_name, names in traced.items():
+        module = importlib.import_module(f"cyclesets.{mod_name}")
+        for name in names:
+            cls, _, attr = name.rpartition(".")
+            scope = vars(vars(module).get(cls, object)) if cls else vars(module)
+            if attr not in scope:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []
 
 
 @pytest.mark.slow
