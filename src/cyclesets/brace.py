@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycleset import CycleSet, assert_valid
+from .cycleset import CycleSet, _points, assert_valid
 from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
 from .perms import closure, inverse_rows
 
@@ -248,7 +248,8 @@ class PermBrace:
 
     def circ_span(self, indices) -> tuple[int, ...]:
         """Subgroup generated under o by the given elements."""
-        return tuple(np.flatnonzero(self._saturate(indices)).tolist())
+        gens = _points(indices, self.order, "element")
+        return tuple(np.flatnonzero(self._saturate(gens)).tolist())
 
     def _saturate(self, gens, span=None) -> np.ndarray:
         """The mask of the o-subgroup generated by ``gens`` and the subgroup
@@ -286,10 +287,10 @@ class PermBrace:
         exactly when it is o-closed, so one verified closure (or one the
         caller vouches for) settles the other without a pairwise scan.
         """
-        idx = tuple(sorted(int(i) for i in set(np.asarray(indices).tolist())))
+        S = np.unique(_points(indices, self.order, "element"))
+        idx = tuple(S.tolist())
         if len(idx) == self.order:
             return BraceSubset(idx, True, True, True, True)
-        S = np.array(idx, dtype=np.int64)
         members = np.isin(np.arange(self.order), S)
         has_zero = bool(members[self.zero])
         gens, points = np.unique(self.gidx, return_index=True)  # g_x for one x per generator

@@ -7,10 +7,11 @@ forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped.  It
 refuses tables whose rows are not permutations, and checks each map it returns.
 
 Classification of an indecomposable cycle set of size p*p proceeds by
-retraction level: level 1 is the cyclic class; level 2 members are matched
-against canonical (f, s) parameter pairs; irretractable members first have
-their twist alpha recovered from the block action and are then matched against
-canonical defect maps.
+retraction level: level 1 is the cyclic class, whose row is an n-cycle.  Level 2
+and irretractable members run one candidate loop over the canonical parameters
+of their family, (f, s) pairs or (defect map, twist alpha) pairs: a candidate
+whose sorted row cycle types differ from the input's is skipped, and the first
+one the isomorphism engine maps the input onto is the answer.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .families import (
     mpl2_params,
     to_cycle_set,
 )
-from .perms import Perm, block_systems, cycle_type
+from .perms import Perm, cycle_type
 
 # -- defect-map scaling action ------------------------------------------------
 
@@ -253,28 +254,6 @@ def _enumerate_irr(p: int) -> list[IrrParams]:
 # -- classification -------------------------------------------------------------
 
 
-def _recover_alpha(cs: CycleSet, p: int) -> int:
-    """Twist of an irretractable member, read off the block action: the rows
-    act on the p blocks as t -> alpha*t + c with one alpha, so h0 o h1^{-1} is
-    a translation tau for rows h0 != h1, and tau^k(0) -> k numbers the blocks."""
-    blocks = np.array(block_systems(cs.table, cs.n)[0])  # block i is row i
-    pos = np.empty(cs.n, dtype=np.intp)
-    pos[blocks] = np.arange(len(blocks))[:, None]
-    h = pos[np.array(cs.table)[:, blocks[:, 0]]]
-    h1 = next((row for row in h if (row != h[0]).any()), np.arange(p))  # else h0 is tau
-    tau = h[0][np.argsort(h1)]
-    orbit = [0]
-    for _ in range(p - 1):
-        orbit.append(int(tau[orbit[-1]]))
-    if sorted(orbit) != list(range(p)):
-        raise NoMatch("block action has no regular translation")
-    rows = np.argsort(orbit)[h[:, orbit]]  # rows[r, k]: coordinate of row r's image of block k
-    alpha = int(rows[0, 1] - rows[0, 0]) % p
-    if not (rows == (alpha * np.arange(p) + rows[:, :1]) % p).all():
-        raise NoMatch("block action is not t -> alpha*t + c with one alpha")
-    return alpha
-
-
 def classify_size_p2(cs: CycleSet) -> FamilyParams:
     """Match an indecomposable cycle set of size p*p to its family parameters.
 
@@ -294,16 +273,11 @@ def classify_size_p2(cs: CycleSet) -> FamilyParams:
         if cycle_type(cs.table[0]) != (n,):
             raise NoMatch("level-one member whose row is not an n-cycle")
         return CyclicParams(p)
-    if level == 2:
-        candidates = _enumerate_mpl2(p)
-    elif level is None:
-        alpha = _recover_alpha(cs, p)
-        candidates = [q for q in _enumerate_irr(p) if q.alpha == alpha]
-    else:
+    if level not in (2, None):
         raise NoMatch(f"unexpected retraction level {level} at size p*p")
 
     row_types = sorted(cycle_type(row) for row in cs.table)
-    for params in candidates:
+    for params in _enumerate_mpl2(p) if level == 2 else _enumerate_irr(p):
         member = to_cycle_set(params)
         if sorted(cycle_type(row) for row in member.table) != row_types:
             continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .brace import build_perm_brace, verify_brace
@@ -309,6 +310,7 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=int)
 
 
+@functools.cache  # built on first use, so importing the module stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cyclesets")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -48,6 +48,18 @@ def _table(rows, what: str) -> _Table:
     return tuple(map(tuple, t.tolist()))
 
 
+def _points(values, n: int, what: str = "point") -> np.ndarray:
+    """``values``, any iterable, as an integer array of indices in 0..n-1.
+
+    One array check: ValueError for entries that are not integers (floats
+    are not truncated, bools are refused) or lie outside 0..n-1.
+    """
+    a = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if a.size and not (np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() < n):
+        raise ValueError(f"{what}s must be integers in 0..{n - 1}")
+    return a.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class CycleSet:
     """Operation table; rows are x*(-).  Shape-checked, axioms are not."""
@@ -197,7 +209,7 @@ def is_irretractable(cs: CycleSet) -> bool:
 
 def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
     """Smallest subset closed under * containing ``subset``, as sorted points."""
-    closed = set(int(x) for x in subset)
+    closed = set(_points(subset, cs.n).tolist())
     frontier = list(closed)
     while frontier:
         x = frontier.pop()
@@ -211,7 +223,9 @@ def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
 
 def restrict(cs: CycleSet, points) -> CycleSet:
     """The induced table on a *-closed subset, reindexed to 0..k-1."""
-    points = np.array(points, dtype=np.intp)
+    points = _points(points, cs.n)
+    if np.unique(points).size != points.size:
+        raise ValueError("subset repeats a point")
     products = np.array(cs.table)[np.ix_(points, points)]
     index = np.full(cs.n, -1)
     index[points] = np.arange(len(points))

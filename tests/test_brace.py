@@ -152,6 +152,17 @@ def test_spans(brace8):
     assert len(brace8.circ_span(range(8))) == 8
 
 
+@pytest.mark.parametrize(
+    "subset", [[0, -1], [0, 1.5], [0, 8], [True]], ids=["negative", "float", "too_large", "bool"]
+)
+def test_subsets_outside_the_brace_are_refused(brace8, subset):
+    # numpy would read -1 as the last element and truncate 1.5 to 1
+    with pytest.raises(ValueError):
+        brace8.classify_subset(subset)
+    with pytest.raises(ValueError):
+        brace8.circ_span(subset)
+
+
 def _tags_by_brute_force(br, subset):
     members = set(subset)
     R = range(br.order)

@@ -459,28 +459,50 @@ def test_classify_twisted_member():
     assert classify_size_p2(moved) == IrrParams(7, P7_PHI, 2)
 
 
+# the one p = 7 row-type group that mixes twists: three defect maps, alpha in {2, 4}
+P7_TWISTED = {
+    30: ((0, 1, 2, 4, 4, 2, 1), 2),
+    31: ((0, 1, 2, 4, 4, 2, 1), 4),
+    56: ((0, 2, 4, 1, 1, 4, 2), 2),
+    57: ((0, 2, 4, 1, 1, 4, 2), 4),
+    63: ((0, 3, 6, 5, 5, 6, 3), 2),
+    64: ((0, 3, 6, 5, 5, 6, 3), 4),
+}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_alpha_is_read_off_the_block_action(p):
-    """Every irretractable class at p <= 5, and at p = 7 every twisted one
-    plus a sample, relabelled, gives back its alpha."""
+def test_classify_roundtrip_of_irretractable_classes(p, monkeypatch):
+    """Every irretractable class at p <= 5, relabelled, classifies back to its
+    parameters; at p = 7 the six twisted classes do, each within six
+    isomorphism tests, and so does a sample of the first 30 classes."""
     rng = random.Random(p)
     classes = enumerate_classes(p, family="irr")
-    if p == 7:
-        classes = [q for q in classes if q.alpha != 1] + rng.sample(classes, 24)
-    for params in classes:
+    picks = range(len(classes)) if p < 7 else [*P7_TWISTED, *rng.sample(range(30), 6)]
+    iso = classify_module.iso_cycle_sets
+    calls = []
+    monkeypatch.setattr(classify_module, "iso_cycle_sets", lambda a, b: calls.append(b) or iso(a, b))
+    for i in picks:
+        params = classes[i]
+        if p == 7 and i in P7_TWISTED:
+            assert (params.phi, params.alpha) == P7_TWISTED[i]
         cs = to_cycle_set(params)
         perm = tuple(rng.sample(range(cs.n), cs.n))
-        assert classify_module._recover_alpha(relabel(cs, perm), p) == params.alpha
+        calls.clear()
+        assert classify_size_p2(relabel(cs, perm)) == params
+        assert calls
+        if params.alpha != 1:
+            assert len(calls) <= 6
 
 
-def test_recover_alpha_refuses_two_slopes():
-    # on the blocks {5t, ..., 5t + 4}: one row acts as t -> t + 1, one as t -> 2t
-    shift = [5 * ((x // 5 + 1) % 5) + x % 5 for x in range(25)]
-    double = [5 * (2 * (x // 5) % 5) + x % 5 for x in range(25)]
-    inner = [5 * (x // 5) + (x + 1) % 5 for x in range(25)]
-    assert classify_module._recover_alpha(CycleSet([shift, inner] + [inner] * 23), 5) == 1
+def test_classify_refutes_when_no_candidate_is_isomorphic(monkeypatch):
+    # with its own class left out, the five other twisted classes share the
+    # member's row types, and the iso engine must refuse each of them
+    own = IrrParams(7, P7_PHI, 2)
+    enumerate_irr = classify_module._enumerate_irr
+    others = [q for q in enumerate_irr(7) if q != own]
+    monkeypatch.setattr(classify_module, "_enumerate_irr", lambda p: others)
     with pytest.raises(NoMatch):
-        classify_module._recover_alpha(CycleSet([shift, double] + [inner] * 23), 5)
+        classify_size_p2(to_cycle_set(own))
 
 
 def test_classify_rejects_wrong_sizes():

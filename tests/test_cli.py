@@ -13,7 +13,7 @@ from cyclesets import (
     is_prime,
     mpl2_cycle_set,
 )
-from cyclesets.cli import main
+from cyclesets.cli import build_parser, main
 from cyclesets.jsonio import cycle_set_to_dict, solution_to_dict
 
 
@@ -553,3 +553,14 @@ def test_enumerate_refuses_digit_rows_larger_than_memory(capsys):
     assert time.perf_counter() - start < 2.0
     _assert_one_line_error(code, out, err)
     assert "physical memory" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a usage error or --help in
+    between leaves the next call's output unchanged."""
+    first = run(capsys, "count", "--p", "3")
+    assert first[0] == 0
+    assert run(capsys, "count")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "count", "--p", "3") == first
+    assert build_parser() is build_parser()

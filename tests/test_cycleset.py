@@ -116,6 +116,24 @@ def test_restrict_to_closed_subset():
     assert restrict(cs, range(4)).table == cs.table
 
 
+@pytest.mark.parametrize(
+    "points", [[0, 0], [-2], [0.0, 1.0], [True, False]], ids=["repeat", "negative", "float", "bool"]
+)
+def test_restrict_refuses_points_it_would_misread(points):
+    # numpy would index a repeated point twice and wrap -2 round to point 0
+    with pytest.raises(ValueError):
+        restrict(CycleSet([[0, 1], [0, 1]]), points)
+
+
+@pytest.mark.parametrize(
+    "subset", [[-1], [1.5], [9], [True]], ids=["negative", "float", "too_large", "bool"]
+)
+def test_sub_cycle_set_refuses_points_outside_the_table(subset):
+    # -1 would enter the result as a point, and 1.5 would be truncated to 1
+    with pytest.raises(ValueError):
+        sub_cycle_set(irr_cycle_set(3, (0, 1, 1), 1), subset)
+
+
 def test_quotients_of_cyclic():
     found = quotients(cyclic_cycle_set(4))
     assert len(found) == 1
