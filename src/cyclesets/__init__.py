@@ -1,194 +1,34 @@
 """Indecomposable involutive Yang-Baxter solutions of size p^2, via cycle sets."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
-    BoundExceeded,
-    CapExceeded,
-    ConstantPhi,
-    InconsistentAddition,
-    InducedTableIllDefined,
-    InvariantViolation,
-    NoMatch,
-    NotAnAutomorphism,
-    NotIndecomposable,
-    NotSizePSquared,
-    NotTransitive,
-    RowsNotBijective,
-    SizeTooLarge,
+    BoundExceeded, CapExceeded, ConstantPhi, InconsistentAddition, InducedTableIllDefined, InvariantViolation,
+    NoMatch, NotAnAutomorphism, NotIndecomposable, NotSizePSquared, NotTransitive, RowsNotBijective, SizeTooLarge,
 )
-from .perms import (
-    Perm,
-    block_systems,
-    closure,
-    cycle_type,
-    identity,
-    inverse,
-    is_perm,
-    is_transitive,
-    orbits,
-)
+from .perms import Perm, block_systems, closure, cycle_type, identity, inverse, is_perm, is_transitive, orbits
 from .cycleset import (
-    CycleSet,
-    ValidityReport,
-    assert_valid,
-    check_cycle_set,
-    is_indecomposable,
-    is_irretractable,
-    is_simple,
-    multipermutation_level,
-    quotients,
-    relabel,
-    restrict,
-    retraction,
-    sigma_gens,
-    sub_cycle_set,
+    CycleSet, ValidityReport, assert_valid, check_cycle_set, is_indecomposable, is_irretractable, is_simple,
+    multipermutation_level, quotients, relabel, restrict, retraction, sigma_gens, sub_cycle_set,
 )
-from .solutions import (
-    Solution,
-    SolutionReport,
-    check_solution,
-    from_solution,
-    to_solution,
-)
+from .solutions import Solution, SolutionReport, check_solution, from_solution, to_solution
 from .brace import BraceSubset, PermBrace, build_perm_brace, verify_brace
 from .counting import (
-    CountReport,
-    count_formula,
-    count_irr_by_enumeration,
-    count_mpl2_by_enumeration,
-    divisors,
-    euler_phi,
-    is_prime,
-    psi,
-    two_adic_split,
+    CountReport, count_formula, count_irr_by_enumeration, count_mpl2_by_enumeration, divisors, euler_phi, is_prime,
+    psi, two_adic_split,
 )
 from .families import (
-    CyclicParams,
-    FamilyParams,
-    IrrParams,
-    Mpl2Params,
-    cable,
-    co_params,
-    co_simple_solution,
-    cyclic_cycle_set,
-    deform,
-    irr_cycle_set,
-    is_cycle_set_automorphism,
-    mirror_perm,
-    mpl2_cycle_set,
-    mpl2_params,
-    params_from_dict,
-    params_to_dict,
-    psi_iso_check,
-    to_cycle_set,
+    CyclicParams, FamilyParams, IrrParams, Mpl2Params, cable, co_params, co_simple_solution, cyclic_cycle_set,
+    deform, irr_cycle_set, is_cycle_set_automorphism, mirror_perm, mpl2_cycle_set, mpl2_params, params_from_dict,
+    params_to_dict, psi_iso_check, to_cycle_set,
 )
 from .classify import (
-    automorphisms,
-    canonical_mpl2_pair,
-    canonical_phi,
-    classify_size_p2,
-    enumerate_classes,
-    iso_cycle_sets,
-    phi_act,
-    phi_orbit,
-    phi_stabilizer,
+    automorphisms, canonical_mpl2_pair, canonical_phi, classify_size_p2, enumerate_classes, iso_cycle_sets, phi_act,
+    phi_orbit, phi_stabilizer,
 )
-from .oracle import (
-    OracleResult,
-    SearchOptions,
-    brute_aut,
-    brute_iso,
-    canonical_form,
-    enumerate_cycle_sets,
-)
+from .oracle import OracleResult, SearchOptions, brute_aut, brute_iso, canonical_form, enumerate_cycle_sets
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundExceeded",
-    "BraceSubset",
-    "CapExceeded",
-    "ConstantPhi",
-    "CountReport",
-    "CycleSet",
-    "CyclicParams",
-    "FamilyParams",
-    "InconsistentAddition",
-    "InducedTableIllDefined",
-    "InvariantViolation",
-    "IrrParams",
-    "Mpl2Params",
-    "NoMatch",
-    "NotAnAutomorphism",
-    "NotIndecomposable",
-    "NotSizePSquared",
-    "NotTransitive",
-    "OracleResult",
-    "Perm",
-    "PermBrace",
-    "RowsNotBijective",
-    "SearchOptions",
-    "SizeTooLarge",
-    "Solution",
-    "SolutionReport",
-    "ValidityReport",
-    "assert_valid",
-    "automorphisms",
-    "block_systems",
-    "brute_aut",
-    "brute_iso",
-    "build_perm_brace",
-    "cable",
-    "canonical_form",
-    "canonical_mpl2_pair",
-    "canonical_phi",
-    "check_cycle_set",
-    "check_solution",
-    "classify_size_p2",
-    "closure",
-    "co_params",
-    "co_simple_solution",
-    "count_formula",
-    "count_irr_by_enumeration",
-    "count_mpl2_by_enumeration",
-    "cycle_type",
-    "cyclic_cycle_set",
-    "deform",
-    "enumerate_classes",
-    "enumerate_cycle_sets",
-    "divisors",
-    "euler_phi",
-    "from_solution",
-    "identity",
-    "inverse",
-    "irr_cycle_set",
-    "is_cycle_set_automorphism",
-    "is_indecomposable",
-    "is_irretractable",
-    "is_perm",
-    "is_prime",
-    "is_simple",
-    "is_transitive",
-    "iso_cycle_sets",
-    "mirror_perm",
-    "mpl2_cycle_set",
-    "mpl2_params",
-    "multipermutation_level",
-    "orbits",
-    "params_from_dict",
-    "params_to_dict",
-    "phi_act",
-    "phi_orbit",
-    "phi_stabilizer",
-    "psi",
-    "two_adic_split",
-    "psi_iso_check",
-    "quotients",
-    "relabel",
-    "restrict",
-    "retraction",
-    "sigma_gens",
-    "sub_cycle_set",
-    "to_cycle_set",
-    "to_solution",
-    "verify_brace",
-]
+# the names imported above; the submodules bound by those imports are not exports
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

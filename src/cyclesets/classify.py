@@ -7,11 +7,13 @@ forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped.  It
 refuses tables whose rows are not permutations, and checks each map it returns.
 
 Classification of an indecomposable cycle set of size p*p proceeds by
-retraction level: level 1 is the cyclic class, whose row is an n-cycle.  Level 2
-and irretractable members run one candidate loop over the canonical parameters
-of their family, (f, s) pairs or (defect map, twist alpha) pairs: a candidate
-whose sorted row cycle types differ from the input's is skipped, and the first
-one the isomorphism engine maps the input onto is the answer.
+retraction level: level 1 is the cyclic class, whose row is an n-cycle.  A
+level-two or irretractable member has its family's parameters read straight
+off its rows, together with coordinates (a, x) for every point: the fibres of
+equal rows, or the blocks of the system of p blocks, give a, and translations
+along them give x.  The parameters are scaled to their canonical form, and the
+answer stands only once the point map is checked to carry the input's table
+onto the member's; no class list is read.
 """
 
 from __future__ import annotations
@@ -21,28 +23,13 @@ from math import isqrt
 
 import numpy as np
 
-from .cycleset import (
-    CycleSet,
-    _is_morphism,
-    assert_valid,
-    is_indecomposable,
-    multipermutation_level,
-)
-from .counting import (
-    _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
-)
+from .cycleset import CycleSet, _is_morphism, assert_valid, is_indecomposable, multipermutation_level
+from .counting import _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
 from .errors import (
-    BoundExceeded, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
+    BoundExceeded, ConstantPhi, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
 )
-from .families import (
-    CyclicParams,
-    FamilyParams,
-    IrrParams,
-    Mpl2Params,
-    mpl2_params,
-    to_cycle_set,
-)
-from .perms import Perm, cycle_type
+from .families import CyclicParams, FamilyParams, IrrParams, Mpl2Params, mpl2_params, to_cycle_set
+from .perms import Perm, block_systems, cycle_type
 
 # -- defect-map scaling action ------------------------------------------------
 
@@ -212,7 +199,10 @@ def automorphisms(cs: CycleSet) -> list[Perm]:
 def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> list[FamilyParams]:
     """Canonical parameters of every class of the requested family at size p*p.
 
-    Raises BoundExceeded when the class count is larger than ``bound``.
+    The level-two classes are the orbit-minimum rows (f(1)..f(p-1), s), the
+    irretractable ones each orbit-minimum defect map with every twist in its
+    stabiliser.  Raises BoundExceeded when the class count is larger than
+    ``bound``.
     """
     if count_has_more_digits(p, len(str(bound)), family):
         raise BoundExceeded(f"more than {bound} classes at p = {p}")
@@ -229,36 +219,126 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
     if family in ("all", "cyclic"):
         out.append(CyclicParams(p))
     if family in ("all", "mpl2"):
-        out.extend(_enumerate_mpl2(p))
+        rows, least = _mpl2_orbit_minima(p)
+        out.extend(mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1]) for row in rows[least].tolist())
     if family in ("all", "irr"):
-        out.extend(_enumerate_irr(p))
-    return out
-
-
-def _enumerate_mpl2(p: int) -> list[Mpl2Params]:
-    rows, least = _mpl2_orbit_minima(p)
-    return [
-        mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1])
-        for row in rows[least].tolist()
-    ]
-
-
-def _enumerate_irr(p: int) -> list[IrrParams]:
-    full, least, _ = _irr_orbit_minima(p)
-    out = []
-    for phi in map(tuple, full[least].tolist()):
-        out.extend(IrrParams(p, phi, alpha) for alpha in phi_stabilizer(p, phi))
+        full, least, _ = _irr_orbit_minima(p)
+        for phi in map(tuple, full[least].tolist()):
+            out.extend(IrrParams(p, phi, alpha) for alpha in phi_stabilizer(p, phi))
     return out
 
 
 # -- classification -------------------------------------------------------------
 
 
+def _maps_onto(t: np.ndarray, params: Mpl2Params | IrrParams, perm: np.ndarray) -> bool:
+    """The certificate: perm carries table t onto the member of params.  False
+    also when the constructor refuses the parameters."""
+    try:
+        member = to_cycle_set(params)
+    except (ConstantPhi, InvariantViolation):
+        return False
+    return _is_morphism(t, np.array(member.table), perm)
+
+
+def _mpl2_read_off(t: np.ndarray, p: int) -> tuple[Mpl2Params, np.ndarray]:
+    """Level-two parameters and the map into their member, read off the rows.
+
+    In the form (a,x)*(b,y) = (b+1, y + [b=0]*s + f(b-a)) every row carries
+    fibre b onto fibre b+1 by a translation.  With e = point 0, fibre b is the
+    one holding sigma_e^b(e); a point sigma_e^b(g^k(e)) gets coordinate k,
+    where g = sigma_e^-1 sigma_u is the first such ratio that moves e and
+    translates every fibre.  Row u_a = sigma_e^a(e) then differs from row e on
+    fibre a by -f(a), read off u_a itself, and sigma_e^p(e) sits at s + sum f.
+    The canonicalising unit scales the coordinates.
+    """
+    n = p * p
+    e = t[0]
+    u = int(np.argmax(t[:, 0] != e[0]))
+    g = np.argsort(e)[t[u]]
+    pts = np.empty((p, p), dtype=np.intp)  # pts[b, k] = sigma_e^b(g^k(e))
+    pts[0, 0] = 0
+    for k in range(1, p):
+        pts[0, k] = g[pts[0, k - 1]]
+    for b in range(1, p):
+        pts[b] = e[pts[b - 1]]
+    pos = np.full(n, -1)
+    pos[pts] = np.arange(n).reshape(p, p)
+    if (pos < 0).any():
+        raise NoMatch("the rows do not translate fibres of a level-two member")
+    a, y = np.divmod(pos, p)
+    us = pts[:, 0]
+    phi = (y[e[us]] - y[t[us, us]]) % p
+    s = int(y[e[us[-1]]] - phi.sum()) % p
+    if not phi.any():
+        raise NoMatch("the defect map read off the rows is zero")
+    # shift fibre b by h(b) so that only the fibre 0 -> 1 step carries s
+    h = np.concatenate(([0], s + np.cumsum(phi)[:-1]))
+    canon, canon_s = canonical_mpl2_pair(p, phi.tolist(), s)
+    i = int(np.flatnonzero(phi)[0])
+    unit = canon[i] * pow(int(phi[i]), -1, p)
+    params, perm = mpl2_params(p, (p,), canon, canon_s), a * p + unit * (y + h[a]) % p
+    if not _maps_onto(t, params, perm):
+        raise NoMatch("the map read off the rows is not an isomorphism onto the member")
+    return params, perm
+
+
+def _irr_read_off(t: np.ndarray, p: int) -> tuple[IrrParams, np.ndarray]:
+    """Irretractable parameters and the map into their member, read off the rows.
+
+    In the form (a,x)*(b,y) = (alpha*(b+x), alpha*(y + f(b-a))) row u acts on
+    the blocks {b} x Z_p as b -> alpha*b + alpha*x_u, so the ratio of two rows
+    translates the blocks and labels them along its powers.  A point's a is
+    its block's label, its x the image of block 0 over alpha, and
+    f(a_v - a_0) = x(0*v)/alpha - x_v.  Which block is 0 matters when
+    alpha != 1, so each of the p start blocks is tried until the constructor
+    accepts f and the map is checked; f is scaled to its canonical orbit
+    member, and the coordinates with it.
+    """
+    n = p * p
+    system = next((s for s in block_systems(t, n) if len(s) == p), None)
+    if system is None:
+        raise NoMatch("the row group has no system of p blocks")
+    blk = np.empty(n, dtype=np.intp)
+    for i, block in enumerate(system):
+        blk[list(block)] = i
+    act = blk[t[:, [block[0] for block in system]]]  # act[u, i]: the block row u sends block i to
+    ratios = act[:, np.argsort(act[0])]  # A_u A_0^-1
+    tau = ratios[(ratios != np.arange(p)).any(axis=1).argmax()]  # the identity if no ratio moves a block
+    order = [0]
+    for _ in range(p - 1):
+        order.append(int(tau[order[-1]]))
+    if len(set(order)) != p:
+        raise NoMatch("no ratio of rows cycles the p blocks")
+    label = np.empty(p, dtype=np.intp)
+    label[order] = np.arange(p)
+    on_labels = label[act[:, order]]
+    alpha = int(on_labels[0, 1] - on_labels[0, 0]) % p
+    if (on_labels != (alpha * np.arange(p) + on_labels[:, :1]) % p).any():
+        raise NoMatch("the rows do not act on the blocks as b -> alpha*b + t")
+    inv = pow(alpha, -1, p)
+    if (np.sort(label[blk] * p + inv * on_labels[:, 0] % p) != np.arange(n)).any():
+        raise NoMatch("the block coordinates are not a bijection")
+    for k in range(p):
+        a = (label[blk] - k) % p
+        x = inv * (on_labels[:, k] - k) % p
+        phi = np.empty(p, dtype=np.intp)
+        phi[(a - a[0]) % p] = (inv * x[t[0]] - x) % p
+        phi = phi.tolist()
+        canon, unit = min((phi_act(p, c, phi), c) for c in range(1, p))  # canonical_phi(p, phi), and its unit
+        w = pow(unit, -1, p)
+        params, perm = IrrParams(p, canon, alpha), w * a % p * p + w * x % p
+        if _maps_onto(t, params, perm):
+            return params, perm
+    raise NoMatch("no start block gives a checked map onto a family member")
+
+
 def classify_size_p2(cs: CycleSet) -> FamilyParams:
     """Match an indecomposable cycle set of size p*p to its family parameters.
 
     Raises NotSizePSquared / NotIndecomposable for out-of-scope input and
-    NoMatch if no class matches (which would refute the classification).
+    NoMatch if the parameters read off the rows give no member that the input
+    maps onto (which would refute the classification).
     """
     n = cs.n
     p = isqrt(n)
@@ -275,12 +355,5 @@ def classify_size_p2(cs: CycleSet) -> FamilyParams:
         return CyclicParams(p)
     if level not in (2, None):
         raise NoMatch(f"unexpected retraction level {level} at size p*p")
-
-    row_types = sorted(cycle_type(row) for row in cs.table)
-    for params in _enumerate_mpl2(p) if level == 2 else _enumerate_irr(p):
-        member = to_cycle_set(params)
-        if sorted(cycle_type(row) for row in member.table) != row_types:
-            continue
-        if iso_cycle_sets(cs, member) is not None:
-            return params
-    raise NoMatch("no family member is isomorphic to the input")
+    read_off = _mpl2_read_off if level == 2 else _irr_read_off
+    return read_off(np.array(cs.table, dtype=np.intp), p)[0]

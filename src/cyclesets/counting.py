@@ -5,7 +5,7 @@ p(p^(p-1) - 1)/(p - 1), and the irretractable classes counted separately for
 defect maps with f(0) != 0 ("even branch") and f(0) = 0 ("zero branch").
 The enumeration functions recount both irretractable branches and the
 level-two orbits with one numpy orbit-minimum scan over all defect maps; the
-classifier reads its class representatives off the same scan.
+class enumeration reads its representatives off the same scan.
 """
 
 from __future__ import annotations

@@ -52,10 +52,15 @@ def _points(values, n: int, what: str = "point") -> np.ndarray:
     """``values``, any iterable, as an integer array of indices in 0..n-1.
 
     One array check: ValueError for entries that are not integers (floats
-    are not truncated, bools are refused) or lie outside 0..n-1.
+    are not truncated, bools are refused) or lie outside 0..n-1.  numpy reads
+    a list that mixes bools with ints as ints, so such a list is scanned.
     """
-    a = values if isinstance(values, np.ndarray) else np.array(list(values))
-    if a.size and not (np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() < n):
+    bools = False
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        bools = not {bool, np.bool_}.isdisjoint(map(type, values))
+    a = np.asarray(values)
+    if bools or a.size and not (np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() < n):
         raise ValueError(f"{what}s must be integers in 0..{n - 1}")
     return a.astype(np.intp, copy=False)
 

@@ -1,5 +1,7 @@
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from cyclesets import (
     CyclicParams,
     InvariantViolation,
     IrrParams,
+    Mpl2Params,
     NoMatch,
     NotIndecomposable,
     NotSizePSquared,
@@ -29,6 +32,7 @@ from cyclesets import (
     irr_cycle_set,
     iso_cycle_sets,
     mpl2_cycle_set,
+    mpl2_params,
     phi_act,
     phi_orbit,
     phi_stabilizer,
@@ -470,39 +474,131 @@ P7_TWISTED = {
 }
 
 
+def _refuse_class_lists(monkeypatch):
+    """Make any read of a class list inside classify fail the test."""
+
+    def refuse(p):
+        raise AssertionError(f"classify read the class list at p = {p}")
+
+    monkeypatch.setattr(classify_module, "_irr_orbit_minima", refuse)
+    monkeypatch.setattr(classify_module, "_mpl2_orbit_minima", refuse)
+
+
+def _relabeled(cs, rng):
+    return relabel(cs, tuple(rng.sample(range(cs.n), cs.n)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_classify_roundtrip_of_irretractable_classes(p, monkeypatch):
-    """Every irretractable class at p <= 5, relabelled, classifies back to its
-    parameters; at p = 7 the six twisted classes do, each within six
-    isomorphism tests, and so does a sample of the first 30 classes."""
+    """Every irretractable class at p <= 7, relabelled, classifies back to its
+    parameters without reading a class list; at p = 7 these include the six
+    twisted classes, which share their row types."""
     rng = random.Random(p)
     classes = enumerate_classes(p, family="irr")
-    picks = range(len(classes)) if p < 7 else [*P7_TWISTED, *rng.sample(range(30), 6)]
-    iso = classify_module.iso_cycle_sets
-    calls = []
-    monkeypatch.setattr(classify_module, "iso_cycle_sets", lambda a, b: calls.append(b) or iso(a, b))
-    for i in picks:
-        params = classes[i]
-        if p == 7 and i in P7_TWISTED:
-            assert (params.phi, params.alpha) == P7_TWISTED[i]
+    if p == 7:
+        assert {i: (classes[i].phi, classes[i].alpha) for i in P7_TWISTED} == P7_TWISTED
+    _refuse_class_lists(monkeypatch)
+    for params in classes:
+        assert classify_size_p2(_relabeled(to_cycle_set(params), rng)) == params
+
+
+def test_classify_roundtrip_of_every_class_to_five_and_a_sample_at_seven(monkeypatch):
+    """Two independent relabelings of each class classify back to its listed
+    parameters: all 832 classes at p = 2, 3, 5, all 407 irretractable classes
+    at p = 7 and 300 seeded level-two ones.  Equal answers on independent
+    relabelings test that the classifier is an isomorphism invariant."""
+    rng = random.Random(832)
+    classes = [q for p in (2, 3, 5) for q in enumerate_classes(p)] + enumerate_classes(7, family="irr")
+    classes += rng.sample(enumerate_classes(7, family="mpl2"), 300)
+    assert len(classes) == 832 + 407 + 300
+    _refuse_class_lists(monkeypatch)
+    for params in classes:
         cs = to_cycle_set(params)
-        perm = tuple(rng.sample(range(cs.n), cs.n))
-        calls.clear()
-        assert classify_size_p2(relabel(cs, perm)) == params
-        assert calls
-        if params.alpha != 1:
-            assert len(calls) <= 6
+        assert [classify_size_p2(_relabeled(cs, rng)) for _ in range(2)] == [params, params]
 
 
-def test_classify_refutes_when_no_candidate_is_isomorphic(monkeypatch):
-    # with its own class left out, the five other twisted classes share the
-    # member's row types, and the iso engine must refuse each of them
-    own = IrrParams(7, P7_PHI, 2)
-    enumerate_irr = classify_module._enumerate_irr
-    others = [q for q in enumerate_irr(7) if q != own]
-    monkeypatch.setattr(classify_module, "_enumerate_irr", lambda p: others)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_read_off_refuses_the_other_families(p):
+    """A read-off handed a member of another family raises NoMatch at one of
+    its own steps, and on its own family returns the class and a map that
+    carries the table onto the class's member, entry by entry."""
+    rng = random.Random(p)
+    read_offs = {Mpl2Params: classify_module._mpl2_read_off, IrrParams: classify_module._irr_read_off}
+    for params in enumerate_classes(p):
+        cs = _relabeled(to_cycle_set(params), rng)
+        for family, read_off in read_offs.items():
+            if not isinstance(params, family):
+                with pytest.raises(NoMatch):
+                    read_off(np.array(cs.table), p)
+                continue
+            got, perm = read_off(np.array(cs.table), p)
+            member = to_cycle_set(got).table
+            assert got == params and sorted(perm.tolist()) == list(range(cs.n))
+            assert all(perm[cs.table[x][y]] == member[perm[x]][perm[y]] for x in range(cs.n) for y in range(cs.n))
+
+
+@pytest.mark.parametrize(
+    "own,other",
+    [
+        (IrrParams(7, P7_PHI, 2), IrrParams(7, P7_PHI, 4)),
+        (IrrParams(5, (0, 1, 4, 4, 1), 1), IrrParams(5, (0, 3, 1, 1, 3), 1)),
+        (
+            mpl2_params(5, (5,), *canonical_mpl2_pair(5, (0, 1, 2, 3, 4), 1)),
+            mpl2_params(5, (5,), *canonical_mpl2_pair(5, (0, 1, 2, 3, 4), 2)),
+        ),
+    ],
+    ids=["twisted7", "irr5", "mpl2_5"],
+)
+def test_classify_refutes_a_member_the_table_does_not_map_onto(own, other, monkeypatch):
+    """With the certificate's constructor handing back another class's member,
+    the map read off fails its check (at every start block, for an
+    irretractable member), and classify raises NoMatch: no answer stands
+    without its checked map."""
+    cs = _relabeled(to_cycle_set(own), random.Random(7))
+    assert classify_size_p2(cs) == own
+    build = classify_module.to_cycle_set
+    monkeypatch.setattr(classify_module, "to_cycle_set", lambda params: build(other))
     with pytest.raises(NoMatch):
-        classify_size_p2(to_cycle_set(own))
+        classify_size_p2(cs)
+
+
+def _beyond_the_class_lists(p: int, rng: random.Random):
+    """Seeded members at p with their canonical parameters: random (f, s) and
+    random even f with alpha = 1, plus at p = 13 the twisted f(A) = A^4."""
+    out = []
+    while len(out) < 8:
+        f, s = (0, *(rng.randrange(p) for _ in range(p - 1))), rng.randrange(p)
+        half = [rng.randrange(p) for _ in range(p // 2 + 1)]
+        even = (*half, *half[:0:-1])
+        if any(f) and len(set(even)) > 1:
+            out.append((mpl2_cycle_set(p, (p,), f, s), mpl2_params(p, (p,), *canonical_mpl2_pair(p, f, s))))
+            out.append((irr_cycle_set(p, even, 1), IrrParams(p, canonical_phi(p, even), 1)))
+    if p == 13:
+        quartic = tuple(pow(a, 4, p) for a in range(p))
+        out += [(irr_cycle_set(p, quartic, alpha), IrrParams(p, canonical_phi(p, quartic), alpha)) for alpha in (3, 9)]
+    return out
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_classify_beyond_the_class_lists(p, monkeypatch):
+    """Relabelled members at p = 11 and 13, where the class lists are refused
+    or out of reach, classify to their canonical parameters in under 0.5 s each."""
+    rng = random.Random(p)
+    _refuse_class_lists(monkeypatch)
+    for cs, expect in _beyond_the_class_lists(p, rng):
+        moved = _relabeled(cs, rng)
+        start = time.perf_counter()
+        assert classify_size_p2(moved) == expect
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.slow
+def test_classify_at_twenty_three(monkeypatch):
+    """Two level-two and two irretractable members at p = 23 (n = 529)."""
+    rng = random.Random(23)
+    _refuse_class_lists(monkeypatch)
+    for cs, expect in _beyond_the_class_lists(23, rng)[:4]:
+        assert classify_size_p2(_relabeled(cs, rng)) == expect
 
 
 def test_classify_rejects_wrong_sizes():

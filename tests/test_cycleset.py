@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +7,7 @@ from cyclesets import (
     InvariantViolation,
     check_cycle_set,
     assert_valid,
+    build_perm_brace,
     cyclic_cycle_set,
     irr_cycle_set,
     is_indecomposable,
@@ -132,6 +134,18 @@ def test_sub_cycle_set_refuses_points_outside_the_table(subset):
     # -1 would enter the result as a point, and 1.5 would be truncated to 1
     with pytest.raises(ValueError):
         sub_cycle_set(irr_cycle_set(3, (0, 1, 1), 1), subset)
+
+
+@pytest.mark.parametrize(
+    "subset", [[3, True], [0, np.False_], [np.int64(2), True, 4]], ids=["bool", "numpy_bool", "numpy_int_and_bool"]
+)
+def test_subsets_mixing_bools_with_ints_are_refused(subset):
+    # numpy reads such a list as ints: [3, True] would close {1, 3}
+    cs = irr_cycle_set(3, (0, 1, 1), 1)
+    for take in (lambda s: sub_cycle_set(cs, s), lambda s: restrict(cs, s), build_perm_brace(cs).classify_subset):
+        with pytest.raises(ValueError):
+            take(subset)
+    assert sub_cycle_set(cs, [3, 1]) == sub_cycle_set(cs, np.array([3, 1]))
 
 
 def test_quotients_of_cyclic():
