@@ -3,8 +3,10 @@
 Isomorphisms are bijections f with f(x*y) = f(x)*'f(y).  The engine refines a
 colouring of the points (cycle type of the row, then iterated neighbourhood
 multisets) and backtracks over colour-respecting assignments, propagating
-forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped.  It
-refuses tables whose rows are not permutations, and checks each map it returns.
+forced images f(x*y) := f(x)*'f(y) as soon as both arguments are mapped; once
+every point is mapped, one array check of the complete map stands in for the
+pairs not yet propagated.  It refuses tables whose rows are not permutations,
+and checks each map it returns.
 
 Classification of an indecomposable cycle set of size p*p proceeds by
 retraction level: level 1 is the cyclic class, whose row is an n-cycle.  A
@@ -29,7 +31,7 @@ from .errors import (
     BoundExceeded, ConstantPhi, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
 )
 from .families import CyclicParams, FamilyParams, IrrParams, Mpl2Params, mpl2_params, to_cycle_set
-from .perms import Perm, block_systems, cycle_type
+from .perms import Perm, _seed_systems, cycle_type
 
 # -- defect-map scaling action ------------------------------------------------
 
@@ -101,11 +103,16 @@ def _refine(tables):
         counts = new
 
 
-def _search(ta, tb, ca, cb, find_all: bool):
+def _search(ta, tb, ca, cb, find_all: bool, arrays):
     """Colour-respecting isomorphisms ta -> tb; first one, or all of them.
 
     ``dom`` lists the mapped points in the order they were mapped: it is the
-    propagation queue, and a branch is undone by unmapping its tail.
+    propagation queue, and a branch is undone by unmapping its tail.  Once
+    every point is mapped, the pairs not yet propagated can force no new
+    image, so one array check of f against ``arrays`` (ta's and tb's tables
+    as numpy arrays) settles the branch in their place.  Propagation reaches
+    the least closed relation whatever its order, so the result is as if
+    every pair had been visited.
     """
     n = len(ta)
     by_colour: dict[int, list[int]] = {}
@@ -119,6 +126,8 @@ def _search(ta, tb, ca, cb, find_all: bool):
     def propagate(i: int) -> bool:
         """Map what dom[i:] forces, pairing each point with those mapped before it."""
         while i < len(dom):
+            if len(dom) == n:
+                return _is_morphism(*arrays, f)
             u = dom[i]
             i += 1
             for w in dom[:i]:
@@ -176,7 +185,7 @@ def _isomorphisms(a: CycleSet, b: CycleSet, find_all: bool) -> list[Perm]:
     ca, cb = colours[0], colours[-1]
     if sorted(ca) != sorted(cb):
         return []
-    found = _search(a.table, b.table, ca, cb, find_all)
+    found = _search(a.table, b.table, ca, cb, find_all, (t[0], t[-1]))
     for f in found:
         if not _is_morphism(t[0], t[-1], f):
             raise InvariantViolation(f"the search returned a map that is not an isomorphism: {f}")
@@ -296,7 +305,7 @@ def _irr_read_off(t: np.ndarray, p: int) -> tuple[IrrParams, np.ndarray]:
     member, and the coordinates with it.
     """
     n = p * p
-    system = next((s for s in block_systems(t, n) if len(s) == p), None)
+    system = next((s for s in _seed_systems(t, n) if len(s) == p), None)
     if system is None:
         raise NoMatch("the row group has no system of p blocks")
     blk = np.empty(n, dtype=np.intp)

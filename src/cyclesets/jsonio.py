@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 from .brace import PermBrace
 from .counting import CountReport
@@ -50,12 +51,19 @@ def count_report_to_dict(report: CountReport) -> dict:
     return {**asdict(report), "n_irr": report.n_irr, "total": report.total}
 
 
-def _int_rows(doc: dict, key: str) -> tuple[tuple[int, ...], ...]:
+def _int_rows(doc: dict, key: str) -> list[list[int]]:
+    """The rows under ``key``, type-checked in one scan and returned as they are.
+
+    Only when an entry is not an int are the rows walked, so that the error
+    names the first offender in row-major order.
+    """
     rows = doc.get(key)
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvariantViolation(f"field {key!r} must be a list of rows")
     try:
-        rows = tuple(tuple(_json_int(v, key) for v in row) for row in rows)
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            for v in chain.from_iterable(rows):
+                _json_int(v, key)
         n = _json_int(doc.get("n", len(rows)), "n")
     except TypeError as exc:
         raise InvariantViolation(str(exc)) from None

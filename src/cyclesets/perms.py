@@ -174,6 +174,14 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
     All minimal nontrivial systems are listed, and not only those: for Z_8
     acting regularly both {0, 4} and {0, 2, 4, 6} span one.  A system is a
     sorted tuple of sorted blocks; the list is sorted.  Raises NotTransitive.
+    """
+    return sorted(set(_seed_systems(gens, n)))
+
+
+def _seed_systems(gens, n: int):
+    """The systems of ``block_systems`` as the seeds s = 1, 2, ... find them,
+    one at a time and possibly repeated; NotTransitive is raised on the first
+    draw.
 
     The union-find runs over a few generators, starting with the first; each
     partition found is checked against every generator in one array test,
@@ -185,7 +193,7 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
     if not is_transitive(gens, n):
         raise NotTransitive(f"group is not transitive on {n} points")
     rows = gens[:1]
-    systems, skip = set(), set()
+    skip = set()
     for seed in range(1, n):
         if seed in skip:
             continue
@@ -198,10 +206,9 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
                 blocks: dict[int, list[int]] = {}
                 for x, r in enumerate(roots):
                     blocks.setdefault(r, []).append(x)
-                systems.add(tuple(sorted(map(tuple, blocks.values()))))
+                yield tuple(sorted(map(tuple, blocks.values())))
                 block = blocks[roots[0]]
                 break
             rows.append(gens[int(bad.argmax()) // n])
         if is_prime(len(block)):
             skip.update(block)
-    return sorted(systems)

@@ -39,6 +39,7 @@ from cyclesets import (
     relabel,
     to_cycle_set,
 )
+from cyclesets.cycleset import _is_morphism
 
 P7_PHI = (0, 1, 2, 4, 4, 2, 1)
 
@@ -266,6 +267,38 @@ def test_search_matches_reference_on_random_permutation_tables(triple):
     _assert_aut_matches_reference(a)
     _assert_iso_matches_reference(a, b)
     _assert_iso_matches_reference(a, relabel(a, tuple(triple[2])))
+
+
+def test_complete_map_that_is_no_morphism_is_rejected(monkeypatch):
+    """On these tables propagation maps every point before it has paired them
+    all, and the complete map is no morphism: the array check must reject it,
+    as the pairwise scan did, without returning or raising."""
+    rejected = []
+
+    def spy(ta, tb, f):
+        ok = _is_morphism(ta, tb, f)
+        if not ok:
+            rejected.append(tuple(f))
+        return ok
+
+    monkeypatch.setattr(classify_module, "_is_morphism", spy)
+    a = CycleSet(((2, 0, 1), (2, 0, 1), (1, 2, 0)))
+    b, c = CycleSet(((0, 2, 1), (1, 0, 2), (2, 1, 0))), CycleSet(((1, 0, 2), (0, 2, 1), (1, 0, 2)))
+    assert automorphisms(a) == [(0, 1, 2)]
+    assert iso_cycle_sets(a, relabel(a, (1, 2, 0))) == (1, 2, 0)
+    assert iso_cycle_sets(b, c) is None
+    assert rejected == [(2, 1, 0), (0, 2, 1), (2, 1, 0)]
+    _assert_aut_matches_reference(a)
+    _assert_iso_matches_reference(a, relabel(a, (1, 2, 0)))
+    _assert_iso_matches_reference(b, c)
+
+
+def test_search_matches_reference_on_relabeled_irretractable_members_at_seven():
+    rng = random.Random(7)
+    for params in rng.sample(enumerate_classes(7, family="irr"), 4):
+        a = _relabeled(to_cycle_set(params), rng)
+        _assert_aut_matches_reference(a)
+        _assert_iso_matches_reference(a, _relabeled(a, rng))
 
 
 def test_iso_self_is_identity_like():

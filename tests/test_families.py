@@ -73,6 +73,16 @@ def test_mpl2_params_normalisation():
     assert params.s == (0,)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mpl2_params_scalars_and_tuples_agree_on_every_class(p):
+    """Scalars, here shifted by multiples of p, are normalised inline and
+    1-tuples entry by entry; both give the listed record of every class."""
+    for q in enumerate_classes(p, family="mpl2"):
+        scalars = [v + p * (i % 3 - 1) for i, (v,) in enumerate(q.phi)]
+        assert mpl2_params(p, (p,), scalars, q.s[0] - p) == q
+        assert mpl2_params(p, (p,), [list(v) for v in q.phi], list(q.s)) == q
+
+
 def test_irr_constructor():
     cs = irr_cycle_set(2, (0, 1), 1)
     assert cs.n == 4

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
     CycleSet,
@@ -15,6 +16,7 @@ from cyclesets import (
     params_to_dict,
     to_solution,
 )
+from cyclesets.families import _json_int
 from cyclesets.jsonio import (
     brace_to_dict,
     count_report_to_dict,
@@ -120,3 +122,63 @@ def test_document_size_is_checked_against_the_table():
     with pytest.raises(InvariantViolation, match="not an integer"):
         document_from_dict({"kind": "cycle_set", "n": 2.0, "table": [[1, 0], [1, 0]]})
     assert document_from_dict({"kind": "cycle_set", "n": 2, "table": [[1, 0], [1, 0]]}).n == 2
+
+
+def _int_rows_reference(doc: dict, key: str):
+    """The loader's row reader as it was: every entry through _json_int, into tuples."""
+    rows = doc.get(key)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvariantViolation(f"field {key!r} must be a list of rows")
+    try:
+        rows = tuple(tuple(_json_int(v, key) for v in row) for row in rows)
+        n = _json_int(doc.get("n", len(rows)), "n")
+    except TypeError as exc:
+        raise InvariantViolation(str(exc)) from None
+    if n != len(rows):
+        raise InvariantViolation(f"field 'n' is {n}, but {key!r} has {len(rows)} rows")
+    return rows
+
+
+def _document_reference(doc: dict):
+    if doc["kind"] == "cycle_set":
+        return CycleSet(_int_rows_reference(doc, "table"))
+    return Solution(_int_rows_reference(doc, "lam"), _int_rows_reference(doc, "rho"))
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except Exception as exc:  # the outcome compared is the exception's type and message
+        return type(exc), str(exc)
+
+
+# mostly points of a small table, so that many documents load; then every
+# other kind of value a JSON document can hold in a table entry
+_entries = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(-(2**64), 2**64),
+    st.just(10**30),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_rows = st.lists(st.lists(_entries, min_size=3, max_size=4), max_size=4) | st.lists(
+    st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=4, max_size=4
+)
+_field = _rows | st.sampled_from([None, 3, "rows", [[0], 1], {"0": [0]}])
+_sizes = st.none() | st.integers(0, 5) | st.sampled_from([4.0, True, "4", 10**30])
+
+
+@given(st.one_of(
+    st.fixed_dictionaries({"kind": st.just("cycle_set"), "table": _field}, optional={"n": _sizes}),
+    st.fixed_dictionaries({"kind": st.just("solution"), "lam": _field, "rho": _field}, optional={"n": _sizes}),
+))
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_the_per_entry_reference(doc):
+    """The one-scan type check loads the same CycleSet or Solution, or raises the
+    same exception type and message, as the per-entry walk."""
+    assert _outcome(document_from_dict, doc) == _outcome(_document_reference, doc)
