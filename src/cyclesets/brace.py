@@ -31,15 +31,6 @@ from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
 from .perms import closure, inverse_rows
 
 
-def _distinct(a) -> np.ndarray:
-    """The sorted distinct values of ``a``, by one sort.  A plain np.unique
-    imports numpy.ma on its first call, and is slower on these int arrays."""
-    s = np.sort(a)
-    keep = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
 @dataclass(frozen=True)
 class BraceSubset:
     """A subset of element indices together with its structural tags."""
@@ -233,7 +224,7 @@ class PermBrace:
     def fix(self) -> BraceSubset:
         """Elements fixed by every lambda_s; the generators suffice, as lambda is multiplicative."""
         cand = np.arange(self.order)
-        for g in _distinct(self.gidx):
+        for g in np.unique(self.gidx):
             lr = self.lam_row(int(g))
             cand = cand[lr[cand] == cand]
         # lambda_s is additive, so the fixed set is +-closed; it is also
@@ -251,7 +242,7 @@ class PermBrace:
     def circ_center(self) -> BraceSubset:
         """Elements commuting with everything under the circle product."""
         mask = np.ones(self.order, dtype=bool)
-        for g in _distinct(self.gidx):
+        for g in np.unique(self.gidx):
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
@@ -268,7 +259,7 @@ class PermBrace:
         new = np.flatnonzero(span)
         while new.size:
             got = self.circ_many(np.repeat(new, gens.size), np.tile(gens, new.size))
-            new = _distinct(got[~span[got]])
+            new = np.unique(got[~span[got]])
             span[new] = True
         return span
 
@@ -296,7 +287,7 @@ class PermBrace:
         exactly when it is o-closed, so one verified closure (or one the
         caller vouches for) settles the other without a pairwise scan.
         """
-        S = _distinct(_points(indices, self.order, "element"))
+        S = np.unique(_points(indices, self.order, "element"))
         idx = tuple(S.tolist())
         if len(idx) == self.order:
             return BraceSubset(idx, True, True, True, True)

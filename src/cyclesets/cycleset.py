@@ -229,7 +229,7 @@ def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
 def restrict(cs: CycleSet, points) -> CycleSet:
     """The induced table on a *-closed subset, reindexed to 0..k-1."""
     points = _points(points, cs.n)
-    if (np.diff(np.sort(points)) == 0).any():
+    if np.unique(points).size != points.size:
         raise ValueError("subset repeats a point")
     products = np.array(cs.table)[np.ix_(points, points)]
     index = np.full(cs.n, -1)

@@ -58,7 +58,7 @@ FamilyParams = CyclicParams | Mpl2Params | IrrParams
 
 def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
     """Normalise scalar phi entries / s into rank-1 tuples."""
-    inv = tuple(map(int, a_invariants))
+    inv = tuple(int(d) for d in a_invariants)
     if not inv or min(inv) < 1:
         raise InvariantViolation(f"group invariants must be positive, got {list(inv)}")
 
@@ -73,10 +73,7 @@ def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
             raise ValueError("element has wrong rank")
         return tuple(int(x) % d for x, d in zip(v, inv))
 
-    # rank-1 scalars, which every class list holds, are normalised inline
-    rank1 = len(inv) == 1
-    elems = tuple([(v % inv[0],) if rank1 and isinstance(v, int) else as_elem(v) for v in phi])
-    return Mpl2Params(int(m), inv, elems, as_elem(s))
+    return Mpl2Params(int(m), inv, tuple(as_elem(v) for v in phi), as_elem(s))
 
 
 # -- constructors -----------------------------------------------------------

@@ -2,7 +2,6 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from cyclesets import (
     InconsistentAddition,
@@ -20,7 +19,6 @@ from cyclesets import (
     to_cycle_set,
     verify_brace,
 )
-from cyclesets.brace import _distinct
 from cyclesets.perms import inverse
 
 
@@ -504,9 +502,3 @@ def test_sampled_triples_are_the_scalar_draws(n, seed):
     scalar = [int(rng.integers(n)) for _ in range(900)]
     batched = np.random.default_rng(seed).integers(n, size=(300, 3))
     assert batched.ravel().tolist() == scalar
-
-
-@given(st.lists(st.integers(-3, 30), max_size=40))
-def test_distinct_matches_numpy_unique(values):
-    a = np.array(values, dtype=np.int64)
-    assert np.array_equal(_distinct(a), np.unique(a))

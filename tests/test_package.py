@@ -1,10 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
 import cyclesets
 
 EXPORTS = {
@@ -30,27 +23,3 @@ EXPORTS = {
 def test_the_package_exports_exactly_its_public_names():
     assert set(cyclesets.__all__) == EXPORTS and len(cyclesets.__all__) == len(EXPORTS)
     assert all(hasattr(cyclesets, name) for name in EXPORTS)
-
-
-def test_restrict_and_the_brace_leave_numpy_ma_unimported():
-    """A plain np.unique imports numpy.ma (0.5-0.8 MB resident on numpy 2.4);
-    these calls ask numpy only for forms that do not."""
-    code = "\n".join([
-        "import sys",
-        "from cyclesets import build_perm_brace, irr_cycle_set, restrict, verify_brace",
-        "print('numpy.ma' in sys.modules)",
-        "cs = irr_cycle_set(3, (0, 1, 1), 1)",
-        "restrict(cs, [3, 1, 2, 0, 4, 5, 6, 7, 8])",
-        "brace = build_perm_brace(cs)",
-        "verify_brace(brace)",
-        "brace.fix(), brace.socle(), brace.circ_center(), brace.circ_span([1]), brace.classify_subset([0, 1])",
-        "print('numpy.ma' in sys.modules)",
-    ])
-    src = str(Path(cyclesets.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    if done.stdout.startswith("True"):
-        pytest.skip("this numpy imports numpy.ma with itself")
-    assert done.stdout == "False\nFalse\n"
