@@ -83,8 +83,10 @@ def _refine(tables):
     k, n = t.shape[:2]
     if not (np.sort(t, axis=2) == np.arange(n)).all():
         raise RowsNotBijective("iso and aut need a table whose rows are permutations")
-    key_ids: dict = {}
-    c = [key_ids.setdefault(cycle_type(row), len(key_ids)) for row in t.reshape(k * n, n).tolist()]
+    rows, key_ids = list(map(tuple, t.reshape(k * n, n).tolist())), {}
+    # each distinct row is typed once, in order of first appearance, which keeps the ids
+    row_ids = {row: key_ids.setdefault(cycle_type(row), len(key_ids)) for row in dict.fromkeys(rows)}
+    c = [row_ids[row] for row in rows]
     counts = [len(set(c[s : s + n])) for s in range(0, k * n, n)]
     ids = np.arange(k * n).reshape(k, n)  # the points, numbered table after table
     idx = np.empty((4, k, n, n), dtype=np.intp)  # idx[:, x, y] = (x, y, x*y, y*x)

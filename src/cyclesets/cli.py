@@ -1,8 +1,12 @@
 """Command-line surface: verify, convert, enumerate, count, classify, iso,
 aut, retract, cable, deform, oracle, brace.
 
-Data goes to the output stream, diagnostics to the error stream.  Exit codes:
-0 success, 1 validation failure (first witness printed), 2 usage error.
+Each command reads its input (an --in document; for verify and convert, also
+the family document that the --family/--p/--phi/--s/--alpha flags spell),
+computes everything, and hands its records to one writer, which opens --out
+(or stdout) only then.  Data goes to the output stream, diagnostics to the
+error stream.  Exit codes: 0 success, 1 validation failure (first witness
+printed), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,27 +15,15 @@ import argparse
 import contextlib
 import functools
 import sys
+from dataclasses import fields
 
 from .brace import build_perm_brace, verify_brace
 from .classify import automorphisms, classify_size_p2, enumerate_classes, iso_cycle_sets
 from .counting import count_formula, count_has_more_digits, is_prime
 from .cycleset import CycleSet, check_cycle_set, multipermutation_level, retraction
-from .families import (
-    CyclicParams,
-    IrrParams,
-    cable,
-    deform,
-    mpl2_params,
-    params_to_dict,
-    to_cycle_set,
-)
+from .families import cable, deform, params_from_dict, params_to_dict, to_cycle_set
 from .jsonio import (
-    brace_to_dict,
-    count_report_to_dict,
-    cycle_set_to_dict,
-    dump_line,
-    load_document,
-    solution_to_dict,
+    brace_to_dict, count_report_to_dict, cycle_set_to_dict, dump_line, load_document, solution_to_dict
 )
 from .oracle import SearchOptions, enumerate_cycle_sets
 from .solutions import Solution, check_solution, from_solution, to_solution
@@ -44,26 +36,31 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-@contextlib.contextmanager
-def _out_stream(path: str | None):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def _render_rows(rows) -> str:
     width = max(len(str(v)) for row in rows for v in row)
     return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
 
 
-def _emit_cycle_set(cs: CycleSet, args) -> None:
-    with _out_stream(args.out) as out:
-        if args.format == "table":
-            out.write(_render_rows(cs.table) + "\n")
-        else:
-            dump_line(cycle_set_to_dict(cs), out)
+def _write(args, *records) -> None:
+    """Write a command's records, opening --out only once all are computed.
+
+    A cycle set or solution is written as its document, or as its rows under
+    --format table; family parameters as their document; a dict as it is.
+    """
+    table = getattr(args, "format", "json") == "table"
+    to_stdout = args.out in (None, "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(args.out, "w", encoding="utf-8") as out:
+        for rec in records:
+            if table and isinstance(rec, CycleSet):
+                out.write(_render_rows(rec.table) + "\n")
+            elif table and isinstance(rec, Solution):
+                out.write("lam:\n" + _render_rows(rec.lam) + "\nrho:\n" + _render_rows(rec.rho) + "\n")
+            elif isinstance(rec, CycleSet):
+                dump_line(cycle_set_to_dict(rec), out)
+            elif isinstance(rec, Solution):
+                dump_line(solution_to_dict(rec), out)
+            else:
+                dump_line(rec if isinstance(rec, dict) else params_to_dict(rec), out)
 
 
 def _cycle_set_of(obj) -> CycleSet:
@@ -74,92 +71,52 @@ def _cycle_set_of(obj) -> CycleSet:
 
 
 def _input_object(args, parser: argparse.ArgumentParser):
+    """The --in document, or the family document the flags spell."""
     if args.infile is not None:
         return load_document(args.infile)
     if args.family in (None, "all"):
         parser.error("need --in FILE or family flags (--family/--p/...)")
     if args.p is None:
         parser.error("--family needs --p")
-    if args.family == "cyclic":
-        return CyclicParams(args.p)
-    if args.phi is None:
+    if args.family != "cyclic" and args.phi is None:
         parser.error(f"--family {args.family} needs --phi")
-    if args.family == "mpl2":
-        return mpl2_params(args.p, (args.p,), args.phi, args.s or 0)
-    return IrrParams(args.p, args.phi, args.alpha or 1)
+    doc = {
+        "family": args.family, "p": args.p, "m": args.p, "a_invariants": [args.p], "phi": args.phi, "s": args.s or 0
+    }
+    return params_from_dict(doc if args.alpha is None else {**doc, "alpha": args.alpha})
 
 
-def _cycle_set_witness(report) -> str | None:
-    if not report.square_law_ok:
-        return f"square law fails at (x, y, z) = {report.square_law_witness}"
-    if not report.rows_bijective_ok:
-        return f"row {report.rows_bijective_witness} is not a permutation"
-    if not report.diagonal_bijective_ok:
-        return f"diagonal collides at (x, y) = {report.diagonal_bijective_witness}"
-    return None
-
-
-def _solution_witness(report) -> str | None:
-    if not report.nondegenerate_ok:
-        which, row = report.nondegenerate_witness
-        return f"nondegeneracy fails: {which} row {row} is not a permutation"
-    if not report.involutive_ok:
-        return f"involutivity fails at (x, y) = {report.involutive_witness}"
-    if not report.braiding_ok:
-        return f"braid relation fails at (x, y, z) = {report.braiding_witness}"
-    return None
+# the message naming each check's witness, keyed by the report's ``<check>_ok`` field
+_WITNESS = {
+    "square_law_ok": "square law fails at (x, y, z) = {}",
+    "rows_bijective_ok": "row {} is not a permutation",
+    "diagonal_bijective_ok": "diagonal collides at (x, y) = {}",
+    "nondegenerate_ok": "nondegeneracy fails: {0[0]} row {0[1]} is not a permutation",
+    "involutive_ok": "involutivity fails at (x, y) = {}",
+    "braiding_ok": "braid relation fails at (x, y, z) = {}",
+}
 
 
 def cmd_verify(args, parser) -> int:
     obj = _input_object(args, parser)
     if isinstance(obj, Solution):
-        report = check_solution(obj)
-        doc = {
-            "kind": "verify_report",
-            "object": "solution",
-            "n": obj.n,
-            "ok": report.ok,
-            "nondegenerate_ok": report.nondegenerate_ok,
-            "involutive_ok": report.involutive_ok,
-            "braiding_ok": report.braiding_ok,
-        }
-        witness = _solution_witness(report)
+        label, report = "solution", check_solution(obj)
     else:
-        label = "cycle_set"
-        if not isinstance(obj, CycleSet):
-            label = "family"
-            obj = to_cycle_set(obj)  # constructors raise on bad parameters
+        label = "cycle_set" if isinstance(obj, CycleSet) else "family"
+        obj = _cycle_set_of(obj)  # constructors raise on bad parameters
         report = check_cycle_set(obj)
-        doc = {
-            "kind": "verify_report",
-            "object": label,
-            "n": obj.n,
-            "ok": report.ok,
-            "square_law_ok": report.square_law_ok,
-            "rows_bijective_ok": report.rows_bijective_ok,
-            "diagonal_bijective_ok": report.diagonal_bijective_ok,
-        }
-        witness = _cycle_set_witness(report)
-    with _out_stream(args.out) as out:
-        dump_line(doc, out)
-    if witness is not None:
-        print(witness, file=sys.stderr)
-        return 1
-    return 0
+    oks = {f.name: getattr(report, f.name) for f in fields(report) if f.name in _WITNESS}
+    _write(args, {"kind": "verify_report", "object": label, "n": obj.n, "ok": report.ok, **oks})
+    failed = [name for name, ok in oks.items() if not ok]  # in the order the report lists its checks
+    if failed:
+        witness = getattr(report, failed[0].removesuffix("_ok") + "_witness")
+        print(_WITNESS[failed[0]].format(witness), file=sys.stderr)
+    return 1 if failed else 0
 
 
-def cmd_convert(args, parser) -> int:
+def cmd_convert(args, parser) -> None:
     obj = _input_object(args, parser)
-    if not isinstance(obj, CycleSet):
-        _emit_cycle_set(_cycle_set_of(obj), args)
-        return 0
-    sol = to_solution(obj)
-    with _out_stream(args.out) as out:
-        if args.format == "table":
-            out.write("lam:\n" + _render_rows(sol.lam) + "\nrho:\n" + _render_rows(sol.rho) + "\n")
-        else:
-            dump_line(solution_to_dict(sol), out)
-    return 0
+    _write(args, to_solution(obj) if isinstance(obj, CycleSet) else _cycle_set_of(obj))
 
 
 def _class_budget(text: str) -> int:
@@ -169,14 +126,11 @@ def _class_budget(text: str) -> int:
     return int(text)
 
 
-def cmd_enumerate(args, parser) -> int:
+def cmd_enumerate(args, parser) -> None:
     bound = _class_budget(args.budget) if args.budget is not None else 1_000_000
     classes = enumerate_classes(args.p, family=args.family or "all", bound=bound)
-    with _out_stream(args.out) as out:
-        for params in classes:
-            dump_line(params_to_dict(params), out)
+    _write(args, *classes)
     print(f"{len(classes)} classes", file=sys.stderr)
-    return 0
 
 
 def _largest_printable_prime(limit: int) -> int:
@@ -190,7 +144,7 @@ def _largest_printable_prime(limit: int) -> int:
     return best
 
 
-def cmd_count(args, parser) -> int:
+def cmd_count(args, parser) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     # the digit bound comes first: count_formula runs for ever at a huge p
     report = None if limit and count_has_more_digits(args.p, limit) else count_formula(args.p)
@@ -199,95 +153,58 @@ def cmd_count(args, parser) -> int:
             f"the counts at p = {args.p} are too long to print (over {limit} digits); "
             f"the largest supported p is {_largest_printable_prime(limit)}"
         )
-    with _out_stream(args.out) as out:
-        dump_line(count_report_to_dict(report), out)
-    return 0
+    _write(args, count_report_to_dict(report))
 
 
-def cmd_classify(args, parser) -> int:
-    cs = _cycle_set_of(load_document(args.infile))
-    params = classify_size_p2(cs)
-    with _out_stream(args.out) as out:
-        dump_line(params_to_dict(params), out)
-    return 0
+def cmd_classify(args, parser) -> None:
+    _write(args, classify_size_p2(_cycle_set_of(load_document(args.infile))))
 
 
-def cmd_iso(args, parser) -> int:
-    a = _cycle_set_of(load_document(args.infile[0]))
-    b = _cycle_set_of(load_document(args.infile[1]))
+def cmd_iso(args, parser) -> None:
+    a, b = (_cycle_set_of(load_document(path)) for path in args.infile)
     perm = iso_cycle_sets(a, b)
-    with _out_stream(args.out) as out:
-        doc = {"isomorphic": perm is not None, "map": list(perm) if perm else None}
-        dump_line(doc, out)
-    return 0
+    _write(args, {"isomorphic": perm is not None, "map": list(perm) if perm else None})
 
 
-def cmd_aut(args, parser) -> int:
+def cmd_aut(args, parser) -> None:
     cs = _cycle_set_of(load_document(args.infile))
     auts = automorphisms(cs)
-    with _out_stream(args.out) as out:
-        doc = {
-            "kind": "automorphisms",
-            "n": cs.n,
-            "count": len(auts),
-            "maps": [list(a) for a in auts],
-        }
-        dump_line(doc, out)
-    return 0
+    _write(args, {"kind": "automorphisms", "n": cs.n, "count": len(auts), "maps": [list(a) for a in auts]})
 
 
-def cmd_retract(args, parser) -> int:
+def cmd_retract(args, parser) -> None:
     cs = _cycle_set_of(load_document(args.infile))
     ret, proj = retraction(cs)
     print(f"projection: {list(proj)}", file=sys.stderr)
     print(f"multipermutation level: {multipermutation_level(cs)}", file=sys.stderr)
-    _emit_cycle_set(ret, args)
-    return 0
+    _write(args, ret)
 
 
-def cmd_cable(args, parser) -> int:
-    cs = _cycle_set_of(load_document(args.infile))
-    _emit_cycle_set(cable(cs, args.k), args)
-    return 0
+def cmd_cable(args, parser) -> None:
+    _write(args, cable(_cycle_set_of(load_document(args.infile)), args.k))
 
 
-def cmd_deform(args, parser) -> int:
+def cmd_deform(args, parser) -> None:
     if args.phi is None:
         parser.error("deform needs --phi (permutation as image list)")
-    cs = _cycle_set_of(load_document(args.infile))
-    _emit_cycle_set(deform(cs, args.phi), args)
-    return 0
+    _write(args, deform(_cycle_set_of(load_document(args.infile)), args.phi))
 
 
-def cmd_oracle(args, parser) -> int:
+def cmd_oracle(args, parser) -> None:
     opts = SearchOptions(
-        n=args.n,
-        indecomposable_only=args.indecomposable,
-        irretractable_only=args.irretractable,
-        time_budget=args.budget,
-        jobs=args.jobs,
+        n=args.n, indecomposable_only=args.indecomposable, irretractable_only=args.irretractable,
+        time_budget=args.budget, jobs=args.jobs,
     )
     result = enumerate_cycle_sets(opts)
-    with _out_stream(args.out) as out:
-        for cs in result.classes:
-            dump_line(cycle_set_to_dict(cs), out)
-        summary = {
-            "classes": len(result.classes),
-            "complete": result.complete,
-            "elapsed": round(result.elapsed, 3),
-        }
-        dump_line(summary, out)
-    return 0
+    summary = {"classes": len(result.classes), "complete": result.complete, "elapsed": round(result.elapsed, 3)}
+    _write(args, *result.classes, summary)
 
 
-def cmd_brace(args, parser) -> int:
-    cs = _cycle_set_of(load_document(args.infile))
-    brace = build_perm_brace(cs)
+def cmd_brace(args, parser) -> None:
+    brace = build_perm_brace(_cycle_set_of(load_document(args.infile)))
     doc = brace_to_dict(brace)  # refuses an oversized brace before the costlier check
     verify_brace(brace)
-    with _out_stream(args.out) as out:
-        dump_line(doc, out)
-    return 0
+    _write(args, doc)
 
 
 def _add_common(sub: argparse.ArgumentParser, *, infile=None, many_in=False) -> None:
@@ -390,7 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args, parser)
+        return args.func(args, parser) or 0
     except SystemExit as exc:  # parser.error inside a command
         return 0 if exc.code in (0, None) else 2
     except (ValueError, OSError) as exc:

@@ -87,10 +87,13 @@ def document_from_dict(doc: dict) -> Document:
 
 
 def load_document(path: str) -> Document:
-    if path == "-":
-        return document_from_dict(json.load(sys.stdin))
-    with open(path, encoding="utf-8") as fh:
-        return document_from_dict(json.load(fh))
+    try:
+        if path == "-":
+            return document_from_dict(json.load(sys.stdin))
+        with open(path, encoding="utf-8") as fh:
+            return document_from_dict(json.load(fh))
+    except RecursionError:  # json.load recurses once per level of nesting
+        raise InvariantViolation("document is nested too deeply to read") from None
 
 
 def dump_line(doc: dict, stream) -> None:

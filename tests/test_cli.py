@@ -564,3 +564,51 @@ def test_one_parser_serves_every_call(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "count", "--p", "3") == first
     assert build_parser() is build_parser()
+
+
+_MPL2_3 = {"family": "mpl2", "m": 3, "a_invariants": [3]}
+_IRR_5 = {"family": "irr", "p": 5}
+
+
+@pytest.mark.parametrize("command", ["verify", "convert"])
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        ("--family cyclic --p 3", {"family": "cyclic", "p": 3}),
+        ("--family cyclic --p 3 --s 1 --alpha 2", {"family": "cyclic", "p": 3}),
+        ("--family cyclic --p 4", {"family": "cyclic", "p": 4}),
+        ("--family mpl2 --p 3 --phi 0,1,1", {**_MPL2_3, "phi": [0, 1, 1], "s": 0}),
+        ("--family mpl2 --p 3 --phi 0,1,2 --s 2", {**_MPL2_3, "phi": [0, 1, 2], "s": 2}),
+        ("--family mpl2 --p 3 --phi 0,2,1 --s 1 --alpha 0", {**_MPL2_3, "phi": [0, 2, 1], "s": 1}),
+        ("--family mpl2 --p 3 --phi 0,0,0", {**_MPL2_3, "phi": [0, 0, 0], "s": 0}),
+        ("--family irr --p 3 --phi 0,1,1", {"family": "irr", "p": 3, "phi": [0, 1, 1]}),
+        ("--family irr --p 3 --phi 0,2,2 --s 1", {"family": "irr", "p": 3, "phi": [0, 2, 2]}),
+        ("--family irr --p 5 --phi 0,2,3,3,2 --alpha 4", {**_IRR_5, "phi": [0, 2, 3, 3, 2], "alpha": 4}),
+        ("--family irr --p 5 --phi 0,1,4,4,1 --alpha 4", {**_IRR_5, "phi": [0, 1, 4, 4, 1], "alpha": 4}),
+        ("--family irr --p 3 --phi 0,1,1 --alpha 0", {"family": "irr", "p": 3, "phi": [0, 1, 1], "alpha": 0}),
+    ],
+)
+def test_family_flags_are_read_as_the_document_they_spell(monkeypatch, capsys, command, flags, doc):
+    """Same exit code, output and diagnostics from the flags as from the document."""
+    import io
+
+    from_flags = run(capsys, command, *flags.split())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, command, "--in", "-") == from_flags
+
+
+@pytest.mark.parametrize(
+    "doc", ["[" * 1000 + "]" * 1000, '{"a": ' * 5000 + "1" + "}" * 5000], ids=["lists", "objects"]
+)
+def test_a_deeply_nested_document_is_one_line_error(monkeypatch, capsys, doc):
+    code, out, err = _verify_stdin(monkeypatch, capsys, doc)
+    _assert_one_line_error(code, out, err)
+    assert "nested too deeply" in err
+
+
+def test_a_failed_command_leaves_no_output_file(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    path = write_cycle_set(tmp_path, CycleSet(((1, 0), (0, 1))))
+    code, out, err = run(capsys, "brace", "--in", path, "--out", str(target))
+    _assert_one_line_error(code, out, err)
+    assert not target.exists()
