@@ -342,8 +342,8 @@ def build_perm_brace(cs: CycleSet) -> PermBrace:
     return PermBrace(*closure(inverse_rows(np.array(cs.table, dtype=np.int32))))
 
 
-def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
-    """Spot-check the brace axioms; exhaustive when the order is small.
+def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
+    """Spot-check the brace axioms on 300 sampled triples; exhaustive when the order is small.
 
     Checks: (G,+) abelian group with the computed negatives, lambda_a is an
     additive automorphism, lambda is multiplicative in its subscript, the
@@ -375,8 +375,8 @@ def verify_brace(brace: PermBrace, samples: int = 300, seed: int = 0) -> bool:
             raise InvariantViolation("o is not the composition of the permutations")
         return True
 
-    # one draw of shape (samples, 3) yields the same values as 3 * samples scalar draws
-    a, b, c = np.random.default_rng(seed).integers(n, size=(samples, 3)).T
+    # one draw of shape (300, 3) yields the same values as 900 scalar draws
+    a, b, c = np.random.default_rng(seed).integers(n, size=(300, 3)).T
     add, circ, lam = brace.add_many, brace.circ_many, brace.lam_many
     bc, ab, ac, neg_a = add(b, c), circ(a, b), circ(a, c), brace.neg_many(a)
     checks = [

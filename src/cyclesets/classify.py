@@ -8,14 +8,15 @@ every point is mapped, one array check of the complete map stands in for the
 pairs not yet propagated.  It refuses tables whose rows are not permutations,
 and checks each map it returns.
 
-Classification of an indecomposable cycle set of size p*p proceeds by
-retraction level: level 1 is the cyclic class, whose row is an n-cycle.  A
-level-two or irretractable member has its family's parameters read straight
-off its rows, together with coordinates (a, x) for every point: the fibres of
-equal rows, or the blocks of the system of p blocks, give a, and translations
-along them give x.  The parameters are scaled to their canonical form, and the
-answer stands only once the point map is checked to carry the input's table
-onto the member's; no class list is read.
+Classification of an indecomposable cycle set of size p*p counts its distinct
+rows, the points its retraction keeps: 1 for the cyclic class (one row that
+generates a transitive group is an n-cycle), p for a level-two member and p*p
+for an irretractable one.  The last two have their family's parameters read
+straight off their rows, together with coordinates (a, x) for every point:
+the fibres of equal rows, or the blocks of the system of p blocks, give a, and
+translations along them give x.  The parameters are scaled to their canonical
+form, and the answer stands only once the point map is checked to carry the
+input's table onto the member's; no class list is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .cycleset import CycleSet, _is_morphism, assert_valid, is_indecomposable, multipermutation_level
+from .cycleset import CycleSet, _is_morphism, assert_valid, is_indecomposable
 from .counting import _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
 from .errors import (
     BoundExceeded, ConstantPhi, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
@@ -348,8 +349,9 @@ def classify_size_p2(cs: CycleSet) -> FamilyParams:
     """Match an indecomposable cycle set of size p*p to its family parameters.
 
     Raises NotSizePSquared / NotIndecomposable for out-of-scope input and
-    NoMatch if the parameters read off the rows give no member that the input
-    maps onto (which would refute the classification).
+    NoMatch if the count of distinct rows is not 1, p or p*p, or if the
+    parameters read off the rows give no member that the input maps onto
+    (either would refute the classification).
     """
     n = cs.n
     p = isqrt(n)
@@ -359,12 +361,10 @@ def classify_size_p2(cs: CycleSet) -> FamilyParams:
     if not is_indecomposable(cs):
         raise NotIndecomposable("the row group is not transitive")
 
-    level = multipermutation_level(cs)
-    if level == 1:
-        if cycle_type(cs.table[0]) != (n,):
-            raise NoMatch("level-one member whose row is not an n-cycle")
+    rows = len(set(cs.table))
+    if rows == 1:  # one row generating a transitive group is an n-cycle
         return CyclicParams(p)
-    if level not in (2, None):
-        raise NoMatch(f"unexpected retraction level {level} at size p*p")
-    read_off = _mpl2_read_off if level == 2 else _irr_read_off
+    if rows not in (p, n):
+        raise NoMatch(f"{rows} distinct rows at size p*p, not 1, p or p*p")
+    read_off = _mpl2_read_off if rows == p else _irr_read_off
     return read_off(np.array(cs.table, dtype=np.intp), p)[0]

@@ -36,14 +36,14 @@ def solution_to_dict(sol: Solution) -> dict:
     }
 
 
-def brace_to_dict(brace: PermBrace, max_order: int = 512) -> dict:
-    """Full-table dump for regression snapshots; refuses huge braces."""
+def brace_to_dict(brace: PermBrace) -> dict:
+    """Full-table dump for regression snapshots; refuses braces of order above 512."""
     return {
         "kind": "perm_brace",
         "n_points": brace.n_points,
         "order": brace.order,
-        "circ": brace.circ_table(max_order=max_order).tolist(),
-        "add": brace.add_table(max_order=max_order).tolist(),
+        "circ": brace.circ_table().tolist(),
+        "add": brace.add_table().tolist(),
     }
 
 

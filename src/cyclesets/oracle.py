@@ -35,6 +35,8 @@ _FEW = 64  # _morphisms tests this many bijections on all n*n pairs at once
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """The oracle's size, filters and budgets.  jobs > 1 workers share max_nodes:
+    each takes max_nodes // jobs, the first max_nodes % jobs one more."""
     n: int
     indecomposable_only: bool = False
     irretractable_only: bool = False
@@ -186,7 +188,8 @@ def _square_law_holds_at(rows, x: int, n: int) -> bool:
     return True
 
 
-def _extend(rows, diag_used, n, state):
+def _extend(rows, diag_used, n, state, cands):
+    """Try each of ``cands`` as the next row, and every permutation for the rows after it."""
     x = len(rows)
     if x == n:
         # canonicalizing a hit is the expensive step at the top sizes, so the
@@ -196,7 +199,7 @@ def _extend(rows, diag_used, n, state):
         cs = CycleSet(tuple(rows))
         state.canon.add(canonical_form(cs).table)
         return
-    for perm in itertools.permutations(range(n)):
+    for perm in cands:
         state.nodes += 1
         if state.max_nodes is not None and state.nodes > state.max_nodes:
             raise _Budget
@@ -207,34 +210,33 @@ def _extend(rows, diag_used, n, state):
         rows.append(perm)
         if _square_law_holds_at(rows, x, n):
             diag_used.add(perm[x])
-            _extend(rows, diag_used, n, state)
+            _extend(rows, diag_used, n, state, itertools.permutations(range(n)))
             diag_used.discard(perm[x])
         rows.pop()
 
 
 def _run_chunk(args):
-    n, first_rows, max_nodes, deadline = args
-    state = _State(max_nodes=max_nodes, deadline=deadline)
-    complete = True
+    """The search under row-0 candidates i, i + jobs, i + 2*jobs, ... of the n!,
+    on its share of the node budget."""
+    n, i, jobs, max_nodes, deadline = args
+    share = None if max_nodes is None else max_nodes // jobs + (i < max_nodes % jobs)
+    state = _State(max_nodes=share, deadline=deadline)
     try:
-        if first_rows is None:
-            _extend([], set(), n, state)
-        else:
-            for row in first_rows:
-                rows = [row]
-                if _square_law_holds_at(rows, 0, n):
-                    _extend(rows, {row[0]}, n, state)
+        _extend([], set(), n, state, itertools.islice(itertools.permutations(range(n)), i, None, jobs))
     except _Budget:
-        complete = False
-    return state.canon, state.nodes, complete
+        return state.canon, state.nodes, False
+    return state.canon, state.nodes, True
 
 
 def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     """All cycle sets of size opts.n up to isomorphism, within the budgets.
 
     The result's ``complete`` flag records whether any budget tripped; when
-    False the class list is a (still deduplicated) lower bound.  The search
-    runs in opts.jobs worker processes, at most one per CPU.
+    False the class list is a (still deduplicated) lower bound.  The row-0
+    candidates are dealt round-robin to opts.jobs searches (at most one per
+    CPU; more than one run in worker processes), which share max_nodes:
+    max_nodes // jobs each, one more for the first max_nodes % jobs.
+    ``nodes`` counts every candidate tried, whatever jobs is.
     """
     n = opts.n
     if n < 1:
@@ -247,26 +249,19 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     start = time.monotonic()
     deadline = start + opts.time_budget if opts.time_budget is not None else None
 
-    if jobs > 1:
+    chunks = [(n, i, jobs, opts.max_nodes, deadline) for i in range(jobs)]
+    if jobs == 1:
+        parts = list(map(_run_chunk, chunks))
+    else:
         import multiprocessing
 
-        first = list(itertools.permutations(range(n)))
-        chunks = [first[i :: jobs] for i in range(jobs)]
-        per_chunk = None if opts.max_nodes is None else max(1, opts.max_nodes // jobs)
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(
-                _run_chunk, [(n, chunk, per_chunk, deadline) for chunk in chunks]
-            )
-        canon = set().union(*(p[0] for p in parts))
-        nodes = sum(p[1] for p in parts)
-        complete = all(p[2] for p in parts)
-    else:
-        canon, nodes, complete = _run_chunk((n, None, opts.max_nodes, deadline))
-
-    classes = [CycleSet(t) for t in canon]
+            parts = pool.map(_run_chunk, chunks)
+    canons, counts, done = zip(*parts)
+    classes = [CycleSet(t) for t in set().union(*canons)]
     if opts.indecomposable_only:
         classes = [c for c in classes if is_indecomposable(c)]
     if opts.irretractable_only:
         classes = [c for c in classes if is_irretractable(c)]
     classes.sort(key=lambda c: c.table)
-    return OracleResult(tuple(classes), complete, nodes, time.monotonic() - start)
+    return OracleResult(tuple(classes), all(done), sum(counts), time.monotonic() - start)

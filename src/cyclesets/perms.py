@@ -175,13 +175,15 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
     acting regularly both {0, 4} and {0, 2, 4, 6} span one.  A system is a
     sorted tuple of sorted blocks; the list is sorted.  Raises NotTransitive.
     """
+    gens = np.array(gens, dtype=np.intp).reshape(-1, n).tolist()
+    if not is_transitive(gens, n):
+        raise NotTransitive(f"group is not transitive on {n} points")
     return sorted(set(_seed_systems(gens, n)))
 
 
 def _seed_systems(gens, n: int):
-    """The systems of ``block_systems`` as the seeds s = 1, 2, ... find them,
-    one at a time and possibly repeated; NotTransitive is raised on the first
-    draw.
+    """The systems of ``block_systems`` of a transitive group, as the seeds
+    s = 1, 2, ... find them, one at a time and possibly repeated.
 
     The union-find runs over a few generators, starting with the first; each
     partition found is checked against every generator in one array test,
@@ -190,8 +192,6 @@ def _seed_systems(gens, n: int):
     """
     t = np.array(gens, dtype=np.intp).reshape(-1, n)
     gens = t.tolist()
-    if not is_transitive(gens, n):
-        raise NotTransitive(f"group is not transitive on {n} points")
     rows = gens[:1]
     skip = set()
     for seed in range(1, n):

@@ -106,13 +106,12 @@ def to_solution(cs: CycleSet, check: bool = True) -> Solution:
     return Solution(lam, t[lam, np.arange(cs.n)[:, None]].T)
 
 
-def from_solution(sol: Solution, check: bool = True) -> CycleSet:
-    """Recover the cycle set table x*y = lam_x^{-1}(y)."""
+def from_solution(sol: Solution) -> CycleSet:
+    """Recover the cycle set table x*y = lam_x^{-1}(y), checking that sol comes from it."""
     cs = CycleSet(inverse_rows(sol.lam))
-    if check:
-        rep = check_cycle_set(cs)
-        if not rep.ok:
-            raise InvariantViolation(f"solution does not come from a cycle set: {rep}")
-        if to_solution(cs, check=False).rho != sol.rho:
-            raise InvariantViolation("rho is inconsistent with lam for an involutive solution")
+    rep = check_cycle_set(cs)
+    if not rep.ok:
+        raise InvariantViolation(f"solution does not come from a cycle set: {rep}")
+    if to_solution(cs, check=False).rho != sol.rho:
+        raise InvariantViolation("rho is inconsistent with lam for an involutive solution")
     return cs

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclesets.classify as classify_module
+import cyclesets.cycleset as cycleset_module
+import cyclesets.perms as perms_module
 from cyclesets import (
     BoundExceeded,
     CycleSet,
@@ -23,6 +25,7 @@ from cyclesets import (
     brute_iso,
     canonical_mpl2_pair,
     canonical_phi,
+    check_cycle_set,
     classify_size_p2,
     count_formula,
     cycle_type,
@@ -632,6 +635,52 @@ def test_classify_at_twenty_three(monkeypatch):
     _refuse_class_lists(monkeypatch)
     for cs, expect in _beyond_the_class_lists(23, rng)[:4]:
         assert classify_size_p2(_relabeled(cs, rng)) == expect
+
+
+def _one_member_of_each_family(p: int):
+    irr = {5: IrrParams(5, (0, 1, 4, 4, 1), 1), 7: IrrParams(7, P7_PHI, 2)}[p]
+    return [CyclicParams(p), mpl2_params(p, (p,), *canonical_mpl2_pair(p, tuple(range(p)), 1)), irr]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_classify_reads_the_family_off_the_count_of_distinct_rows(p, monkeypatch):
+    """Classify retracts nothing: 1, p or p*p distinct rows name the family."""
+    rng = random.Random(p)
+    members = [(_relabeled(to_cycle_set(params), rng), params) for params in _one_member_of_each_family(p)]
+
+    def refuse(*args):
+        raise AssertionError("classify retracted the table")
+
+    monkeypatch.setattr(cycleset_module, "retraction", refuse)
+    monkeypatch.setattr(cycleset_module, "multipermutation_level", refuse)
+    for cs, params in members:
+        assert classify_size_p2(cs) == params
+
+
+def test_classify_walks_transitivity_once(monkeypatch):
+    """The indecomposability check is the one transitivity walk; the
+    irretractable read-off's system of p blocks does not repeat it."""
+    cs = _relabeled(irr_cycle_set(7, P7_PHI, 2), random.Random(7))
+    walk, calls = perms_module.is_transitive, []
+
+    def spy(gens, n):
+        calls.append(n)
+        return walk(gens, n)
+
+    monkeypatch.setattr(perms_module, "is_transitive", spy)
+    monkeypatch.setattr(cycleset_module, "is_transitive", spy)
+    assert classify_size_p2(cs) == IrrParams(7, P7_PHI, 2)
+    assert calls == [49]
+
+
+def test_classify_refuses_a_count_of_distinct_rows_outside_the_families(monkeypatch):
+    """A valid size-4 table with 3 distinct rows, let past the indecomposability
+    check, is no family's member."""
+    cs = CycleSet(((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)))
+    assert check_cycle_set(cs).ok
+    monkeypatch.setattr(classify_module, "is_indecomposable", lambda cs: True)
+    with pytest.raises(NoMatch, match="3 distinct rows"):
+        classify_size_p2(cs)
 
 
 def test_classify_rejects_wrong_sizes():

@@ -1,4 +1,5 @@
 import itertools
+import os
 import time
 import tracemalloc
 from unittest import mock
@@ -122,6 +123,19 @@ def test_jobs_do_not_change_the_answer(n4_all):
     split = enumerate_cycle_sets(SearchOptions(n=4, jobs=2))
     assert {cs.table for cs in split.classes} == {cs.table for cs in n4_all.classes}
     assert split.complete
+
+
+@pytest.mark.parametrize("n, nodes", [(3, 150), (4, 18_600)])
+def test_jobs_do_not_change_the_node_count(n, nodes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
+    assert [enumerate_cycle_sets(SearchOptions(n=n, jobs=jobs)).nodes for jobs in (1, 2)] == [nodes, nodes]
+
+
+def test_workers_share_the_node_budget(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = enumerate_cycle_sets(SearchOptions(n=4, jobs=2, max_nodes=50))
+    assert not result.complete
+    assert result.nodes <= 50 + 4  # each worker counts the node that trips its share
 
 
 def test_size_guard():
