@@ -30,7 +30,8 @@ def main(argv=None):
                     help="search-tree node budget (default 5e6)")
     ap.add_argument("--time-budget", type=float, default=300.0,
                     help="wall-clock budget in seconds (default 300)")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes, sharing the node budget")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, sharing the 67 row-0 representatives and the node budget")
     args = ap.parse_args(argv)
 
     known = [to_cycle_set(q) for q in enumerate_classes(3)]

@@ -3,8 +3,13 @@
 Enumerates every cycle set table row by row (each row a permutation), pruning
 on the diagonal bijection and on every square-law instance whose four
 participating rows are already placed, then dedupes by the lexicographically
-least relabeling.  Independent of the family constructors and of the refined
-isomorphism engine, so it can audit both.
+least relabeling.  Two symmetry breaks cut the tree without losing a class:
+row 0 is one fixed permutation per pair of cycle type and length of the
+cycle through 0 (``_row0_reps``), and a row that the square law already
+decides from the placed rows is the only candidate tried for it
+(``_forced_rows``).
+Independent of the family constructors and of the refined isomorphism engine,
+so it can audit both.
 
 ``canonical_form``, ``brute_iso`` and ``brute_aut`` share one blocked numpy
 scan over the n! bijections in lexicographic order (``_blocks``), so their
@@ -188,8 +193,64 @@ def _square_law_holds_at(rows, x: int, n: int) -> bool:
     return True
 
 
+def _partitions(n: int, most: int):
+    """The partitions of n into parts of at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _row0_reps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The row-0 representatives in lexicographic order, the identity first:
+    every class has a table whose row 0 is one of them.
+
+    Relabeling by a bijection P turns row x into P s_x P^-1 and moves it to
+    row P(x), so any row of any table can become row 0, as any permutation of
+    its cycle type whose cycle through 0 is as long as the one through x.  One
+    permutation per pair (length k of the cycle through 0, partition of n - k
+    into the other cycles) is enough: the cycle through 0 on 0..k-1, the
+    other cycles on the points after it.
+    """
+    reps = []
+    for k in range(1, n + 1):
+        for rest in _partitions(n - k, n - k):
+            perm: list[int] = []
+            for length in (k, *rest):
+                perm += [len(perm) + (i + 1) % length for i in range(length)]
+            reps.append(tuple(perm))
+    return tuple(sorted(reps))
+
+
+def _forced_rows(rows, n: int):
+    """The next row as the square law decides it from the placed rows.
+
+    A placed pair a, b with s_a(b) = x (the next row) and v = s_b(a) < x
+    decides it: s_x s_a = s_v s_b, so s_x = s_v s_b s_a^-1.  Returns None when
+    no pair decides it, () when two pairs disagree, else a 1-tuple of the row.
+    """
+    x = len(rows)
+    row = None
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            if ra[b] != x or rb[a] >= x:
+                continue
+            rv = rows[rb[a]]
+            got = [0] * n
+            for c in range(n):
+                got[ra[c]] = rv[rb[c]]
+            got = tuple(got)
+            if row is None:
+                row = got
+            elif got != row:
+                return ()
+    return None if row is None else (row,)
+
+
 def _extend(rows, diag_used, n, state, cands):
-    """Try each of ``cands`` as the next row, and every permutation for the rows after it."""
+    """Try each of ``cands`` as the next row, and for each row after it the one
+    the square law forces, or every permutation when it forces none."""
     x = len(rows)
     if x == n:
         # canonicalizing a hit is the expensive step at the top sizes, so the
@@ -210,19 +271,20 @@ def _extend(rows, diag_used, n, state, cands):
         rows.append(perm)
         if _square_law_holds_at(rows, x, n):
             diag_used.add(perm[x])
-            _extend(rows, diag_used, n, state, itertools.permutations(range(n)))
+            forced = _forced_rows(rows, n)
+            _extend(rows, diag_used, n, state, itertools.permutations(range(n)) if forced is None else forced)
             diag_used.discard(perm[x])
         rows.pop()
 
 
 def _run_chunk(args):
-    """The search under row-0 candidates i, i + jobs, i + 2*jobs, ... of the n!,
+    """The search under row-0 representatives i, i + jobs, i + 2*jobs, ...,
     on its share of the node budget."""
     n, i, jobs, max_nodes, deadline = args
     share = None if max_nodes is None else max_nodes // jobs + (i < max_nodes % jobs)
     state = _State(max_nodes=share, deadline=deadline)
     try:
-        _extend([], set(), n, state, itertools.islice(itertools.permutations(range(n)), i, None, jobs))
+        _extend([], set(), n, state, _row0_reps(n)[i::jobs])
     except _Budget:
         return state.canon, state.nodes, False
     return state.canon, state.nodes, True
@@ -232,10 +294,13 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     """All cycle sets of size opts.n up to isomorphism, within the budgets.
 
     The result's ``complete`` flag records whether any budget tripped; when
-    False the class list is a (still deduplicated) lower bound.  The row-0
-    candidates are dealt round-robin to opts.jobs searches (at most one per
-    CPU; more than one run in worker processes), which share max_nodes:
-    max_nodes // jobs each, one more for the first max_nodes % jobs.
+    False the class list is a (still deduplicated) lower bound.  Row 0 is
+    each of the row-0 representatives in turn (one per cycle type and length
+    of the cycle through 0; 67 at n = 9), dealt round-robin to opts.jobs
+    searches (at most one per CPU; more than one run in worker processes),
+    which share max_nodes: max_nodes // jobs each, one more for the first
+    max_nodes % jobs.  A later row is the one the square law forces from the
+    rows placed, when it forces one, else every permutation in turn.
     ``nodes`` counts every candidate tried, whatever jobs is.
     """
     n = opts.n

@@ -17,12 +17,14 @@ from cyclesets import (
     canonical_form,
     check_cycle_set,
     cyclic_cycle_set,
+    enumerate_classes,
     enumerate_cycle_sets,
     irr_cycle_set,
     is_indecomposable,
     is_irretractable,
     mpl2_cycle_set,
     relabel,
+    to_cycle_set,
 )
 from cyclesets import oracle
 
@@ -77,13 +79,21 @@ def test_oracle_finds_all_constructed_members():
         assert sum(1 for cs in found if brute_iso(cs, target) is not None) == 1
 
 
-@pytest.mark.slow
 def test_size_five_census():
     result = enumerate_cycle_sets(SearchOptions(n=5))
     assert len(result.classes) == 88
     assert result.complete
     narrowed = enumerate_cycle_sets(SearchOptions(n=5, indecomposable_only=True))
     assert len(narrowed.classes) == 1
+
+
+# involutive solutions of size n up to isomorphism, all and indecomposable
+# (Etingof-Schedler-Soloviev, Duke Math. J. 1999; Akguen-Mereb-Vendramin,
+# Math. Comp. 2022)
+@pytest.mark.parametrize("n, count, indecomposable", [(1, 1, 1), (2, 2, 1), (3, 5, 1), (4, 23, 5), (5, 88, 1)])
+def test_published_counts(n, count, indecomposable):
+    assert len(enumerate_cycle_sets(SearchOptions(n=n)).classes) == count
+    assert len(enumerate_cycle_sets(SearchOptions(n=n, indecomposable_only=True)).classes) == indecomposable
 
 
 def test_node_budget_reports_incomplete():
@@ -98,8 +108,10 @@ def test_time_budget_zero():
 
 
 def test_time_budget_at_size_nine_overshoots_by_at_most_one_scan():
-    # the first complete size-9 table is the trivial one, whose canonical
+    # row 0 starts at the identity, and no pair of identity rows forces a row,
+    # so the first complete size-9 table is the trivial one, whose canonical
     # form keeps every relabeling to the last row: the dearest single scan
+    assert oracle._row0_reps(9)[0] == tuple(range(9))
     start = time.monotonic()
     result = enumerate_cycle_sets(SearchOptions(n=9, time_budget=0.5))
     assert not result.complete
@@ -125,7 +137,7 @@ def test_jobs_do_not_change_the_answer(n4_all):
     assert split.complete
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 150), (4, 18_600)])
+@pytest.mark.parametrize("n, nodes", [(3, 66), (4, 2_056)])
 def test_jobs_do_not_change_the_node_count(n, nodes, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     assert [enumerate_cycle_sets(SearchOptions(n=n, jobs=jobs)).nodes for jobs in (1, 2)] == [nodes, nodes]
@@ -281,3 +293,83 @@ def test_canonical_form_is_the_least_relabeled_table(data):
         got = canonical_form(CycleSet(t)).table
     assert got == min(_ref_relabel(t, perm) for perm in itertools.permutations(range(len(t))))
     assert _all_ints(got)
+
+
+# -- the census, against the plain row-by-row search ---------------------------
+
+
+def _ref_census(n):
+    """Every table row by row, each row every permutation, pruned by the diagonal
+    and the square-law instances its row decides; the classes as least relabelings."""
+    pts = range(n)
+    perms = list(itertools.permutations(pts))
+
+    def law(rows, x):
+        placed = range(x + 1)
+        return all(
+            rows[rows[a][b]][rows[a][c]] == rows[rows[b][a]][rows[b][c]]
+            for a in placed
+            for b in placed
+            if rows[a][b] <= x and rows[b][a] <= x and x in (a, b, rows[a][b], rows[b][a])
+            for c in pts
+        )
+
+    def tables(rows):
+        x = len(rows)
+        if x == n:
+            yield rows
+            return
+        diag = {rows[y][y] for y in range(x)}
+        for perm in perms:
+            if perm[x] not in diag and law(rows + [perm], x):
+                yield from tables(rows + [perm])
+
+    return {min(_ref_relabel(t, perm) for perm in perms) for t in tables([])}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_census_equals_the_plain_row_by_row_search(n):
+    assert {cs.table for cs in enumerate_cycle_sets(SearchOptions(n=n)).classes} == _ref_census(n)
+
+
+def _conjugate(s, perm):
+    """perm s perm^-1: row s as a relabeling by perm leaves it."""
+    out = [0] * len(s)
+    for x, y in enumerate(s):
+        out[perm[x]] = perm[y]
+    return tuple(out)
+
+
+def test_row0_representatives_count_one_per_cycle_type_and_cycle_through_0():
+    assert [len(oracle._row0_reps(n)) for n in range(1, 10)] == [1, 2, 4, 7, 12, 19, 30, 45, 67]
+    for n in range(1, 10):
+        reps = oracle._row0_reps(n)
+        assert reps[0] == tuple(range(n))
+        assert list(reps) == sorted(set(reps))
+        assert all(sorted(r) == list(range(n)) for r in reps)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_row_is_conjugate_to_exactly_one_row0_representative(n):
+    reps = set(oracle._row0_reps(n))
+    fixing_0 = [(0, *rest) for rest in itertools.permutations(range(1, n))]
+    for s in itertools.permutations(range(n)):
+        assert len(reps & {_conjugate(s, perm) for perm in fixing_0}) == 1
+
+
+def test_forced_rows_agree_with_every_known_table():
+    tables = [
+        _ref_relabel(cs.table, perm)
+        for n in range(1, 5)
+        for cs in enumerate_cycle_sets(SearchOptions(n=n)).classes
+        for perm in itertools.permutations(range(n))
+    ]
+    tables += [to_cycle_set(q).table for q in enumerate_classes(3)]
+    assert len(tables) == 1 + 2 * 2 + 5 * 6 + 23 * 24 + 16
+    decided = 0
+    for t in tables:
+        for x in range(len(t)):
+            forced = oracle._forced_rows(list(t[:x]), len(t))
+            assert forced in (None, (t[x],))
+            decided += forced is not None
+    assert decided > 0
