@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cycleset import CycleSet, _points, assert_valid
+from .cycleset import CycleSet, _distinct, _points, assert_valid
 from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
 from .perms import closure, inverse_rows
 
@@ -224,7 +224,7 @@ class PermBrace:
     def fix(self) -> BraceSubset:
         """Elements fixed by every lambda_s; the generators suffice, as lambda is multiplicative."""
         cand = np.arange(self.order)
-        for g in np.unique(self.gidx):
+        for g in _distinct(self.gidx):
             lr = self.lam_row(int(g))
             cand = cand[lr[cand] == cand]
         # lambda_s is additive, so the fixed set is +-closed; it is also
@@ -242,7 +242,7 @@ class PermBrace:
     def circ_center(self) -> BraceSubset:
         """Elements commuting with everything under the circle product."""
         mask = np.ones(self.order, dtype=bool)
-        for g in np.unique(self.gidx):
+        for g in _distinct(self.gidx):
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
         return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
 
@@ -259,7 +259,7 @@ class PermBrace:
         new = np.flatnonzero(span)
         while new.size:
             got = self.circ_many(np.repeat(new, gens.size), np.tile(gens, new.size))
-            new = np.unique(got[~span[got]])
+            new = _distinct(got[~span[got]])
             span[new] = True
         return span
 
@@ -287,7 +287,7 @@ class PermBrace:
         exactly when it is o-closed, so one verified closure (or one the
         caller vouches for) settles the other without a pairwise scan.
         """
-        S = np.unique(_points(indices, self.order, "element"))
+        S = _distinct(_points(indices, self.order, "element"))
         idx = tuple(S.tolist())
         if len(idx) == self.order:
             return BraceSubset(idx, True, True, True, True)

@@ -65,6 +65,13 @@ def _points(values, n: int, what: str = "point") -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
+def _distinct(a) -> np.ndarray:
+    """np.unique(a): the sorted distinct values.  A plain np.unique call imports
+    numpy.ma under numpy 2.4, half a megabyte or more; asking for the indices too
+    does not."""
+    return np.unique(a, return_index=True)[0]
+
+
 @dataclass(frozen=True)
 class CycleSet:
     """Operation table; rows are x*(-).  Shape-checked, axioms are not."""
@@ -229,7 +236,7 @@ def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
 def restrict(cs: CycleSet, points) -> CycleSet:
     """The induced table on a *-closed subset, reindexed to 0..k-1."""
     points = _points(points, cs.n)
-    if np.unique(points).size != points.size:
+    if _distinct(points).size != points.size:
         raise ValueError("subset repeats a point")
     products = np.array(cs.table)[np.ix_(points, points)]
     index = np.full(cs.n, -1)

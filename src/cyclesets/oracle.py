@@ -11,10 +11,11 @@ decides from the placed rows is the only candidate tried for it
 Independent of the family constructors and of the refined isomorphism engine,
 so it can audit both.
 
-``canonical_form``, ``brute_iso`` and ``brute_aut`` share one blocked numpy
-scan over the n! bijections in lexicographic order (``_blocks``), so their
-outputs are the least table, the first isomorphism and the automorphisms in
-order, as a loop over ``itertools.permutations`` would give them.
+``canonical_form`` scans the n! bijections in lexicographic order in numpy
+blocks (``_blocks``); ``brute_iso`` and ``brute_aut`` grow partial maps point
+by point in the same order (``_morphisms``).  So their outputs are the least
+table, the first isomorphism and the automorphisms in order, as a loop over
+``itertools.permutations`` would give them.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .errors import SizeTooLarge
 from .perms import Perm
 
 _BRUTE_LIMIT = 9
-# 720-bijection blocks keep a scan's arrays small enough to be reused from the
-# heap; 5040 made the n = 8 and 9 scans slower
+# canonical_form's 720-bijection blocks stay small enough to be reused from the heap; 5040 was slower
 _TAIL = 6
-_FEW = 64  # _morphisms tests this many bijections on all n*n pairs at once
+_CAP = 1024  # most partial maps _morphisms extends at once; 4096 made relabelled n = 8 pairs 60% slower
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def _tail_table(m: int) -> np.ndarray:
 
 
 def _blocks(n: int):
-    """All bijections of range(n) in lexicographic order, one block at a time.
+    """All bijections of range(n) in lexicographic order, one block at a time,
+    for canonical_form.
 
     A block is an (n, m!) intp array whose columns are the bijections: it
     fixes the images of the first n - m points and runs the other m through
@@ -90,18 +91,43 @@ def _blocks(n: int):
         yield block
 
 
-def _morphisms(ta: np.ndarray, tb: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The columns P of block with P[ta[x, y]] == tb[P[x], P[y]] for every x, y.
+def _morphisms(ta: np.ndarray, tb: np.ndarray):
+    """The bijections P with P[ta[x, y]] == tb[P[x], P[y]] for every x, y, in
+    lexicographic order, as nonempty (k, n) int8 arrays of one row per P.
 
-    Tested one (x, y) at a time, dropping the failing columns as it goes,
-    until few are left (most bijections fail within the first few pairs);
-    those few are tested on every pair at once.
+    A map on 0..d-1 is extended by each unused image of d in increasing order,
+    then checked on the pairs that d decides (max(x, y, ta[x, y]) = d), at most
+    _CAP // (n - d) maps at a time, depth first, so memory stays O(_CAP * n).
     """
-    for x, y in itertools.product(range(len(ta)), repeat=2):
-        if block.shape[1] <= _FEW:
-            break
-        block = block[:, block[ta[x, y]] == tb[block[x], block[y]]]
-    return block[:, (block[ta] == tb[block[:, None], block]).all(axis=(0, 1))]
+    n = len(ta)
+    zxy = np.stack((ta.ravel(), *np.indices((n, n)).reshape(2, -1)))  # z = ta[x, y], x, y
+    depth = zxy.max(axis=0)
+    ends = np.searchsorted(np.sort(depth), range(n + 1))
+    zxy = zxy[:, np.argsort(depth, kind="stable")]
+    cols = [zxy[:, a:b].ravel() for a, b in zip(ends, ends[1:])]  # depth d's z, then x, then y
+    tb = tb.astype(np.int8)
+
+    def grow(maps):
+        d = maps.shape[1]
+        if d == n:
+            if len(maps):
+                yield maps
+            return
+        c, m = cols[d], len(cols[d]) // 3
+        step = max(1, _CAP // (n - d))
+        for start in range(0, len(maps), step):
+            part = maps[start : start + step]
+            free = np.ones((len(part), n), dtype=bool)
+            free[np.arange(len(part))[:, None], part] = False
+            ext = np.empty((len(part) * (n - d), d + 1), dtype=np.int8)
+            ext[:, :d] = np.repeat(part, n - d, axis=0)
+            ext[:, d] = np.nonzero(free)[1]  # row-major: lexicographic order
+            if m:
+                v = ext[:, c]
+                ext = ext[(v[:, :m] == tb[v[:, m : 2 * m], v[:, 2 * m :]]).all(axis=1)]
+            yield from grow(ext)
+
+    return grow(np.empty((1, 0), dtype=np.int8))
 
 
 def canonical_form(cs: CycleSet) -> CycleSet:
@@ -147,20 +173,16 @@ def brute_iso(a: CycleSet, b: CycleSet) -> Perm | None:
         return None
     if a.n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"brute-force isomorphism is limited to n <= {_BRUTE_LIMIT}")
-    ta, tb = np.array(a.table, dtype=np.intp), np.array(b.table, dtype=np.intp)
-    for block in _blocks(a.n):
-        hits = _morphisms(ta, tb, block)
-        if hits.shape[1]:
-            return tuple(hits[:, 0].tolist())
-    return None
+    hits = next(_morphisms(np.array(a.table), np.array(b.table)), None)
+    return None if hits is None else tuple(hits[0].tolist())
 
 
 def brute_aut(cs: CycleSet) -> list[Perm]:
     """All automorphisms in lexicographic order, by exhaustive scan (n <= 9)."""
     if cs.n > _BRUTE_LIMIT:
         raise SizeTooLarge(f"brute-force automorphisms are limited to n <= {_BRUTE_LIMIT}")
-    t = np.array(cs.table, dtype=np.intp)
-    return [tuple(perm) for block in _blocks(cs.n) for perm in _morphisms(t, t, block).T.tolist()]
+    t = np.array(cs.table)
+    return [perm for hits in _morphisms(t, t) for perm in zip(*hits.T.tolist())]
 
 
 class _Budget(Exception):
@@ -172,6 +194,7 @@ class _State:
     nodes: int = 0
     max_nodes: int | None = None
     deadline: float | None = None
+    keep: tuple = ()  # the filters a complete table must pass
     canon: set = field(default_factory=set)  # canonical tables found
 
 
@@ -258,7 +281,8 @@ def _extend(rows, diag_used, n, state, cands):
         if state.deadline is not None and time.monotonic() > state.deadline:
             raise _Budget
         cs = CycleSet(tuple(rows))
-        state.canon.add(canonical_form(cs).table)
+        if all(f(cs) for f in state.keep):  # relabeling-invariant, so test first
+            state.canon.add(canonical_form(cs).table)
         return
     for perm in cands:
         state.nodes += 1
@@ -280,9 +304,9 @@ def _extend(rows, diag_used, n, state, cands):
 def _run_chunk(args):
     """The search under row-0 representatives i, i + jobs, i + 2*jobs, ...,
     on its share of the node budget."""
-    n, i, jobs, max_nodes, deadline = args
+    n, i, jobs, max_nodes, deadline, keep = args
     share = None if max_nodes is None else max_nodes // jobs + (i < max_nodes % jobs)
-    state = _State(max_nodes=share, deadline=deadline)
+    state = _State(max_nodes=share, deadline=deadline, keep=keep)
     try:
         _extend([], set(), n, state, _row0_reps(n)[i::jobs])
     except _Budget:
@@ -314,7 +338,8 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     start = time.monotonic()
     deadline = start + opts.time_budget if opts.time_budget is not None else None
 
-    chunks = [(n, i, jobs, opts.max_nodes, deadline) for i in range(jobs)]
+    keep = (is_indecomposable,) * opts.indecomposable_only + (is_irretractable,) * opts.irretractable_only
+    chunks = [(n, i, jobs, opts.max_nodes, deadline, keep) for i in range(jobs)]
     if jobs == 1:
         parts = list(map(_run_chunk, chunks))
     else:
@@ -323,10 +348,5 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_run_chunk, chunks)
     canons, counts, done = zip(*parts)
-    classes = [CycleSet(t) for t in set().union(*canons)]
-    if opts.indecomposable_only:
-        classes = [c for c in classes if is_indecomposable(c)]
-    if opts.irretractable_only:
-        classes = [c for c in classes if is_irretractable(c)]
-    classes.sort(key=lambda c: c.table)
-    return OracleResult(tuple(classes), all(done), sum(counts), time.monotonic() - start)
+    classes = sorted(set().union(*canons))
+    return OracleResult(tuple(map(CycleSet, classes)), all(done), sum(counts), time.monotonic() - start)

@@ -1,8 +1,13 @@
 import copy
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import cyclesets
 from cyclesets import (
     InconsistentAddition,
     InvariantViolation,
@@ -502,3 +507,22 @@ def test_sampled_triples_are_the_scalar_draws(n, seed):
     scalar = [int(rng.integers(n)) for _ in range(900)]
     batched = np.random.default_rng(seed).integers(n, size=(300, 3))
     assert batched.ravel().tolist() == scalar
+
+
+def test_subsets_and_restrict_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma, half a megabyte or more of memory
+    code = textwrap.dedent(
+        """
+        import sys
+        from cyclesets import build_perm_brace, irr_cycle_set, mpl2_cycle_set, restrict
+        restrict(mpl2_cycle_set(2, (2,), (0, 1), 0), [1, 0, 3, 2])
+        br = build_perm_brace(irr_cycle_set(3, (1, 2, 2), 1))
+        br.socle(), br.fix(), br.circ_center(), br.circ_span([1]), br.classify_subset([0, 1])
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cyclesets.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["False"]

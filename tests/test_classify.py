@@ -339,6 +339,22 @@ def test_iso_engine_agrees_with_brute_force(p2_members):
             assert (fast is None) == (slow is None)
 
 
+def test_iso_engine_agrees_with_brute_force_on_all_of_p3(p3_members):
+    """Every pair of relabelled p = 3 classes, 16 seeded relabelled self-pairs
+    and every relabelled class's automorphism group, against the full 9! scans."""
+    rng = random.Random(9)
+    moved = [_relabeled(cs, rng) for cs in p3_members]
+    for i, a in enumerate(moved):
+        for b in moved[i + 1 :]:
+            assert iso_cycle_sets(a, b) is None
+            assert brute_iso(a, b) is None
+    for cs, a in zip(p3_members, moved):
+        fast, slow = iso_cycle_sets(cs, a), brute_iso(cs, a)
+        assert _is_morphism(cs.table, a.table, fast) and _is_morphism(cs.table, a.table, slow)
+        assert slow <= fast  # brute_iso's is the lexicographically first
+        assert automorphisms(a) == brute_aut(a)
+
+
 @given(st.permutations(range(9)))
 @settings(max_examples=15, deadline=None)
 def test_iso_engine_finds_relabelings(perm):

@@ -96,6 +96,24 @@ def test_published_counts(n, count, indecomposable):
     assert len(enumerate_cycle_sets(SearchOptions(n=n, indecomposable_only=True)).classes) == indecomposable
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("flag, keep", [("indecomposable_only", is_indecomposable), ("irretractable_only", is_irretractable)])
+def test_filters_run_before_the_canonical_form(n, flag, keep, monkeypatch):
+    everything = enumerate_cycle_sets(SearchOptions(n=n))
+    seen = []
+
+    def spy(cs):
+        seen.append(cs)
+        return canonical_form(cs)
+
+    monkeypatch.setattr(oracle, "canonical_form", spy)
+    found = enumerate_cycle_sets(SearchOptions(n=n, **{flag: True}))
+    assert all(keep(cs) for cs in seen)
+    assert found.classes == tuple(cs for cs in everything.classes if keep(cs))
+    assert found.nodes == everything.nodes
+    assert found.complete
+
+
 def test_node_budget_reports_incomplete():
     result = enumerate_cycle_sets(SearchOptions(n=4, max_nodes=50))
     assert not result.complete
@@ -206,6 +224,20 @@ def test_canonical_form_memory_is_bounded_by_the_scan_block():
     assert peak < 32 * 2**20
 
 
+def test_brute_iso_memory_is_bounded_by_the_slice_cap():
+    # every partial map of the trivial table passes every check, so the
+    # frontier would be all 9! bijections if it were not grown in slices
+    trivial = CycleSet(tuple(tuple(range(9)) for _ in range(9)))
+    tracemalloc.start()
+    try:
+        found = brute_iso(trivial, trivial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == tuple(range(9))
+    assert peak < 32 * 2**20
+
+
 # -- the exact outputs, against a plain itertools reference -------------------
 
 
@@ -261,6 +293,12 @@ def _scan_blocks(data):
     return mock.patch.object(oracle, "_TAIL", data.draw(st.sampled_from((2, 3, oracle._TAIL)), label="m"))
 
 
+def _scan_slices(data):
+    """Grow partial maps under a drawn cap; at cap 1 every frontier of more than
+    one map is split, at every depth."""
+    return mock.patch.object(oracle, "_CAP", data.draw(st.sampled_from((1, 4, 16, oracle._CAP)), label="cap"))
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_brute_iso_is_the_first_isomorphism_in_lexicographic_order(data):
@@ -268,7 +306,7 @@ def test_brute_iso_is_the_first_isomorphism_in_lexicographic_order(data):
     n = len(ta)
     same = data.draw(st.booleans())
     tb = _ref_relabel(ta, tuple(data.draw(st.permutations(range(n))))) if same else data.draw(_cycle_sets(n))
-    with _scan_blocks(data):
+    with _scan_slices(data):
         got = brute_iso(CycleSet(ta), CycleSet(tb))
     assert got == next(_ref_morphisms(ta, tb), None)
     assert got is None or _all_ints([got])
@@ -278,7 +316,7 @@ def test_brute_iso_is_the_first_isomorphism_in_lexicographic_order(data):
 @settings(max_examples=40, deadline=None)
 def test_brute_aut_lists_every_automorphism_in_lexicographic_order(data):
     t = data.draw(_cycle_sets())
-    with _scan_blocks(data):
+    with _scan_slices(data):
         got = brute_aut(CycleSet(t))
     assert got == list(_ref_morphisms(t, t))
     assert _all_ints(got)
