@@ -14,9 +14,9 @@ generates a transitive group is an n-cycle), p for a level-two member and p*p
 for an irretractable one.  The last two have their family's parameters read
 straight off their rows, together with coordinates (a, x) for every point:
 the fibres of equal rows, or the blocks of the system of p blocks, give a, and
-translations along them give x.  The parameters are scaled to their canonical
-form, and the answer stands only once the point map is checked to carry the
-input's table onto the member's; no class list is read.
+translations along them give x.  ``counting`` scales the parameters to their
+least image under the units; the answer stands only once the point map is
+checked to carry the input's table onto the member's; no class list is read.
 """
 
 from __future__ import annotations
@@ -27,42 +27,28 @@ from math import isqrt
 import numpy as np
 
 from .cycleset import CycleSet, _is_morphism, assert_valid, is_indecomposable
-from .counting import _irr_orbit_minima, _mpl2_orbit_minima, count_formula, count_has_more_digits, is_prime
+from .counting import _irr_orbit_minima, _least_image, _mpl2_orbit_minima, _scale, _stabilisers, _twist
+from .counting import count_formula, count_has_more_digits, is_prime
 from .errors import (
     BoundExceeded, ConstantPhi, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
 )
 from .families import CyclicParams, FamilyParams, IrrParams, Mpl2Params, mpl2_params, to_cycle_set
 from .perms import Perm, _seed_systems, cycle_type
 
-# -- defect-map scaling action ------------------------------------------------
+# -- the twist action on one defect map ---------------------------------------
 
 
 def phi_act(p: int, alpha: int, phi) -> tuple[int, ...]:
     """(alpha . f)(A) = alpha^{-1} * f(alpha*A)."""
-    inv = pow(alpha, -1, p)
-    return tuple((inv * phi[(alpha * a) % p]) % p for a in range(p))
-
-
-def phi_orbit(p: int, phi) -> list[tuple[int, ...]]:
-    return sorted({phi_act(p, alpha, phi) for alpha in range(1, p)})
+    return tuple(_twist(np.array([phi]), alpha, p)[0].tolist())
 
 
 def canonical_phi(p: int, phi) -> tuple[int, ...]:
-    return phi_orbit(p, phi)[0]
+    return _least_image(phi, p, _twist)[0]
 
 
 def phi_stabilizer(p: int, phi) -> list[int]:
-    phi = tuple(v % p for v in phi)
-    return [alpha for alpha in range(1, p) if phi_act(p, alpha, phi) == phi]
-
-
-def canonical_mpl2_pair(p: int, phi, s: int) -> tuple[tuple[int, ...], int]:
-    """Lex-least (alpha*f, alpha*s) over units alpha; f indexed over Z_p."""
-    phi = tuple(v % p for v in phi)
-    s = s % p
-    return min(
-        (tuple((alpha * v) % p for v in phi), (alpha * s) % p) for alpha in range(1, p)
-    )
+    return (np.flatnonzero(_stabilisers(np.array([phi]) % p, p, _twist)[0]) + 1).tolist()
 
 
 # -- colour refinement ---------------------------------------------------------
@@ -231,12 +217,12 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
     if family in ("all", "cyclic"):
         out.append(CyclicParams(p))
     if family in ("all", "mpl2"):
-        rows, least = _mpl2_orbit_minima(p)
-        out.extend(mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1]) for row in rows[least].tolist())
+        out.extend(mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1]) for row in _mpl2_orbit_minima(p).tolist())
     if family in ("all", "irr"):
-        full, least, _ = _irr_orbit_minima(p)
-        for phi in map(tuple, full[least].tolist()):
-            out.extend(IrrParams(p, phi, alpha) for alpha in phi_stabilizer(p, phi))
+        kept = _irr_orbit_minima(p)
+        phis = list(map(tuple, kept.tolist()))
+        at, unit = np.nonzero(_stabilisers(kept, p, _twist))
+        out.extend(IrrParams(p, phis[i], alpha + 1) for i, alpha in zip(at.tolist(), unit.tolist()))
     return out
 
 
@@ -286,10 +272,8 @@ def _mpl2_read_off(t: np.ndarray, p: int) -> tuple[Mpl2Params, np.ndarray]:
         raise NoMatch("the defect map read off the rows is zero")
     # shift fibre b by h(b) so that only the fibre 0 -> 1 step carries s
     h = np.concatenate(([0], s + np.cumsum(phi)[:-1]))
-    canon, canon_s = canonical_mpl2_pair(p, phi.tolist(), s)
-    i = int(np.flatnonzero(phi)[0])
-    unit = canon[i] * pow(int(phi[i]), -1, p)
-    params, perm = mpl2_params(p, (p,), canon, canon_s), a * p + unit * (y + h[a]) % p
+    canon, unit = _least_image([*phi.tolist(), s], p, _scale)
+    params, perm = mpl2_params(p, (p,), canon[:p], canon[p]), a * p + unit * (y + h[a]) % p
     if not _maps_onto(t, params, perm):
         raise NoMatch("the map read off the rows is not an isomorphism onto the member")
     return params, perm
@@ -336,8 +320,7 @@ def _irr_read_off(t: np.ndarray, p: int) -> tuple[IrrParams, np.ndarray]:
         x = inv * (on_labels[:, k] - k) % p
         phi = np.empty(p, dtype=np.intp)
         phi[(a - a[0]) % p] = (inv * x[t[0]] - x) % p
-        phi = phi.tolist()
-        canon, unit = min((phi_act(p, c, phi), c) for c in range(1, p))  # canonical_phi(p, phi), and its unit
+        canon, unit = _least_image(phi, p, _twist)
         w = pow(unit, -1, p)
         params, perm = IrrParams(p, canon, alpha), w * a % p * p + w * x % p
         if _maps_onto(t, params, perm):

@@ -127,8 +127,8 @@ def _class_budget(text: str) -> int:
 
 
 def cmd_enumerate(args, parser) -> None:
-    bound = _class_budget(args.budget) if args.budget is not None else 1_000_000
-    classes = enumerate_classes(args.p, family=args.family or "all", bound=bound)
+    bound = {} if args.budget is None else {"bound": _class_budget(args.budget)}
+    classes = enumerate_classes(args.p, family=args.family or "all", **bound)
     _write(args, *classes)
     print(f"{len(classes)} classes", file=sys.stderr)
 

@@ -3,9 +3,11 @@
 The counts split by family: one cyclic class, the level-two classes counted by
 p(p^(p-1) - 1)/(p - 1), and the irretractable classes counted separately for
 defect maps with f(0) != 0 ("even branch") and f(0) = 0 ("zero branch").
-The enumeration functions recount both irretractable branches and the
-level-two orbits with one numpy orbit-minimum scan over all defect maps; the
-class enumeration reads its representatives off the same scan.
+The units of Z_p act here, each action written once on batches of digit rows:
+the twist f -> alpha^{-1} f(alpha A) on defect maps, and the joint scaling of
+(f, s).  One orbit-minimum scan finds the orbit minima, one stabiliser pass
+gives their twists to the count and the class enumeration alike, and the
+classifier takes one row's least image and its unit from the same actions.
 """
 
 from __future__ import annotations
@@ -151,54 +153,65 @@ def _digit_rows(p: int, width: int, scan_words: int) -> np.ndarray:
     return out
 
 
+def _twist(rows: np.ndarray, alpha: int, p: int) -> np.ndarray:
+    """f -> alpha^{-1} f(alpha A) on a batch of defect maps, one per row."""
+    return rows[:, np.arange(p) * alpha % p] * pow(alpha, -1, p) % p
+
+
+def _scale(rows: np.ndarray, alpha: int, p: int) -> np.ndarray:
+    """Joint scaling (f, s) -> (alpha f, alpha s) on a batch of digit rows."""
+    return rows * alpha % p
+
+
 def _orbit_words(cols: int) -> int:
     """int64 words per row that _orbit_minima holds beside rows of ``cols``
     columns: an image and its temporary while acting, and the keys, key
-    minima, stabiliser sizes and masks."""
-    return 2 * cols + 5
+    minima and masks."""
+    return 2 * cols + 4
 
 
-def _orbit_minima(rows: np.ndarray, p: int, act) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit minima of digit rows under the units alpha of Z_p.
+def _orbit_minima(rows: np.ndarray, p: int, act) -> np.ndarray:
+    """The mask of digit rows least in their orbit under the units of Z_p.
 
-    ``act(rows, alpha)`` returns the image rows.  Keys are big-endian, so a
-    row is kept exactly when it is the lexicographically least of its orbit.
-    Returns the is-least-in-orbit mask and each row's stabiliser size.
+    ``act`` is ``_twist`` or ``_scale``.  Keys are big-endian, so a row is kept
+    exactly when it is the lexicographically least of its orbit.
     """
     weights = p ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
     key_one = rows @ weights
     key_min = key_one.copy()
-    stab = np.ones(len(rows), dtype=np.int64)
     for alpha in range(2, p):
-        key = act(rows, alpha) @ weights
-        stab += key == key_one
-        np.minimum(key_min, key, out=key_min)
-    return key_one == key_min, stab
+        np.minimum(key_min, act(rows, alpha, p) @ weights, out=key_min)
+    return key_one == key_min
 
 
-def _irr_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All even defect maps in lexicographic order, the mask of non-constant
-    orbit minima under f -> alpha^{-1} f(alpha A), and stabiliser sizes."""
+def _stabilisers(rows: np.ndarray, p: int, act) -> np.ndarray:
+    """fixed[i, alpha - 1]: the unit alpha fixes rows[i] under ``act``."""
+    return np.stack([(act(rows, alpha, p) == rows).all(axis=1) for alpha in range(1, p)], axis=1)
+
+
+def _least_image(row, p: int, act) -> tuple[tuple[int, ...], int]:
+    """One row's least image under ``act``, and the least unit that gives it."""
+    rows = np.array([row], dtype=np.int64) % p
+    return min((tuple(act(rows, alpha, p)[0].tolist()), alpha) for alpha in range(1, p))
+
+
+def _irr_orbit_minima(p: int) -> np.ndarray:
+    """The non-constant even defect maps least in their orbit under ``_twist``,
+    in lexicographic order."""
     half = p // 2 + 1
     digits = _digit_rows(p, half, half + p + _orbit_words(p))  # digits, full, the scan
     full = np.empty((p**half, p), dtype=np.int64)
     full[:, :half] = digits
     for a in range(half, p):
         full[:, a] = digits[:, p - a]
-
-    def act(rows, alpha):
-        return (rows[:, (np.arange(p) * alpha) % p] * pow(alpha, -1, p)) % p
-
-    least, stab = _orbit_minima(full, p, act)
-    return full, least & (full != full[:, :1]).any(axis=1), stab
+    return full[_orbit_minima(full, p, _twist) & (full != full[:, :1]).any(axis=1)]
 
 
-def _mpl2_orbit_minima(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (f(1)..f(p-1), s) in lexicographic order, f(0) = 0 implicit, and
-    the mask of those least in their orbit under joint scaling with f != 0."""
+def _mpl2_orbit_minima(p: int) -> np.ndarray:
+    """The rows (f(1)..f(p-1), s), f(0) = 0 implicit and f != 0, least in
+    their orbit under ``_scale``, in lexicographic order."""
     rows = _digit_rows(p, p, p + _orbit_words(p))
-    least, _ = _orbit_minima(rows, p, lambda rows, alpha: (rows * alpha) % p)
-    return rows, least & (rows[:, : p - 1] != 0).any(axis=1)
+    return rows[_orbit_minima(rows, p, _scale) & (rows[:, : p - 1] != 0).any(axis=1)]
 
 
 def count_irr_by_enumeration(p: int) -> tuple[int, int]:
@@ -210,9 +223,9 @@ def count_irr_by_enumeration(p: int) -> tuple[int, int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    full, least, stab = _irr_orbit_minima(p)
-    zero = full[:, 0] == 0
-    return int(stab[least & ~zero].sum()), int(stab[least & zero].sum())
+    kept = _irr_orbit_minima(p)
+    stab, zero = _stabilisers(kept, p, _twist).sum(axis=1), kept[:, 0] == 0
+    return int(stab[~zero].sum()), int(stab[zero].sum())
 
 
 def count_mpl2_by_enumeration(p: int) -> int:
@@ -223,4 +236,4 @@ def count_mpl2_by_enumeration(p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return int(_mpl2_orbit_minima(p)[1].sum())
+    return len(_mpl2_orbit_minima(p))

@@ -17,6 +17,7 @@ from .counting import is_prime
 from .errors import CapExceeded, NotTransitive
 
 Perm = tuple[int, ...]
+_CAP = 1_000_000  # the most elements a closure builds
 
 
 def identity(n: int) -> Perm:
@@ -63,7 +64,7 @@ def cycle_type(a: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def closure(gens, cap: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
+def closure(gens) -> tuple[np.ndarray, np.ndarray]:
     """The group generated by ``gens``, and the products formed closing it.
 
     Returns ``(elems, mul)``: the (order, n) int32 element rows, and the int32
@@ -72,7 +73,7 @@ def closure(gens, cap: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
     order, where a frontier element f yields f o g for each distinct
     generator g in first-appearance order (all products with the first one,
     then the second, ...).  Rows are keyed by their bytes.  Raises
-    CapExceeded when the group would have more than ``cap`` elements.
+    CapExceeded when the group would have more than ``_CAP`` elements.
     """
     gens = np.array(gens, dtype=np.int32, ndmin=2)
     n = gens.shape[1]
@@ -96,8 +97,8 @@ def closure(gens, cap: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
             cand = np.ascontiguousarray(frontier[:, distinct[s : s + step]].swapaxes(0, 1))
             keys = cand.view(row).ravel().tolist()
             got = np.fromiter(map(index.__getitem__, keys), dtype=np.int32, count=len(keys))
-            if len(index) > cap:
-                raise CapExceeded(cap)
+            if len(index) > _CAP:
+                raise CapExceeded(_CAP)
             idx[s : s + step] = got.reshape(-1, len(frontier))
         mul.append(idx.take(col, axis=0).T)
         fresh = list(islice(reversed(index), len(index) - known))[::-1]  # this level's keys

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclesets.classify as classify_module
+import cyclesets.counting as counting_module
 import cyclesets.cycleset as cycleset_module
 import cyclesets.perms as perms_module
 from cyclesets import (
@@ -23,7 +24,6 @@ from cyclesets import (
     automorphisms,
     brute_aut,
     brute_iso,
-    canonical_mpl2_pair,
     canonical_phi,
     check_cycle_set,
     classify_size_p2,
@@ -37,7 +37,6 @@ from cyclesets import (
     mpl2_cycle_set,
     mpl2_params,
     phi_act,
-    phi_orbit,
     phi_stabilizer,
     relabel,
     to_cycle_set,
@@ -47,7 +46,50 @@ from cyclesets.cycleset import _is_morphism
 P7_PHI = (0, 1, 2, 4, 4, 2, 1)
 
 
-# -- the scaling action on defect maps ----------------------------------------
+# -- the unit actions, against scalar references ---------------------------------
+
+
+def _phi_act_reference(p, alpha, phi):
+    """(alpha . f)(A) = alpha^{-1} * f(alpha*A), one entry at a time."""
+    inv = pow(alpha, -1, p)
+    return tuple((inv * phi[(alpha * a) % p]) % p for a in range(p))
+
+
+def _canonical_phi_reference(p, phi):
+    return min(_phi_act_reference(p, alpha, phi) for alpha in range(1, p))
+
+
+def _phi_stabilizer_reference(p, phi):
+    phi = tuple(v % p for v in phi)
+    return [alpha for alpha in range(1, p) if _phi_act_reference(p, alpha, phi) == phi]
+
+
+def _canonical_mpl2_pair_reference(p, phi, s):
+    """Lex-least (alpha*f, alpha*s) over units alpha; f indexed over Z_p."""
+    phi = tuple(v % p for v in phi)
+    s = s % p
+    return min((tuple((alpha * v) % p for v in phi), (alpha * s) % p) for alpha in range(1, p))
+
+
+_PRIME_AND_ROW = st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=p + 1, max_size=p + 1))
+)
+
+
+@given(_PRIME_AND_ROW)
+@settings(max_examples=60)
+def test_least_image_matches_the_references(drawn):
+    """The kernel's least image and unit under each action equal the min of
+    (reference image, unit): defect maps under the twist, (f, s) under joint scaling."""
+    p, row = drawn
+    phi = row[:p]
+    least_twist = counting_module._least_image(phi, p, counting_module._twist)
+    assert least_twist == min((_phi_act_reference(p, alpha, phi), alpha) for alpha in range(1, p))
+    least_scale = counting_module._least_image(row, p, counting_module._scale)
+    assert least_scale == min((tuple(alpha * v % p for v in row), alpha) for alpha in range(1, p))
+
+
+# -- the twist action on defect maps ------------------------------------------
 
 
 def test_phi_act_frozen():
@@ -64,8 +106,7 @@ def test_phi_act_is_an_action(a, b, phi):
 
 
 def test_phi_orbit_and_canonical():
-    orb = phi_orbit(3, (0, 2, 2))
-    assert set(orb) == {(0, 1, 1), (0, 2, 2)}
+    assert {phi_act(3, alpha, (0, 2, 2)) for alpha in (1, 2)} == {(0, 1, 1), (0, 2, 2)}
     assert canonical_phi(3, (0, 2, 2)) == (0, 1, 1)
     assert canonical_phi(7, P7_PHI) == P7_PHI
 
@@ -81,11 +122,19 @@ def test_phi_stabilizer():
     assert phi_stabilizer(5, (0, 1, 4, 4, 1)) == [1]
 
 
-def test_canonical_mpl2_pair_joint_scaling():
-    assert canonical_mpl2_pair(3, (0, 1, 1), 1) == canonical_mpl2_pair(3, (0, 2, 2), 2)
-    assert canonical_mpl2_pair(3, (0, 1, 1), 0) == canonical_mpl2_pair(3, (0, 2, 2), 0)
+def test_joint_scaling_of_level_two_parameters():
+    def least(phi, s):
+        return counting_module._least_image([*phi, s], 3, counting_module._scale)[0]
+
+    def classified(phi, s):
+        return classify_size_p2(mpl2_cycle_set(3, (3,), phi, s))
+
+    assert least((0, 1, 1), 1) == least((0, 2, 2), 2)
+    assert least((0, 1, 1), 0) == least((0, 2, 2), 0)
+    assert classified((0, 1, 1), 1) == classified((0, 2, 2), 2)
     # scaling only the shift changes the class
-    assert canonical_mpl2_pair(3, (0, 1, 1), 1) != canonical_mpl2_pair(3, (0, 1, 1), 2)
+    assert least((0, 1, 1), 1) != least((0, 1, 1), 2)
+    assert classified((0, 1, 1), 1) != classified((0, 1, 1), 2)
 
 
 # -- colour refinement ----------------------------------------------------------
@@ -469,23 +518,37 @@ def test_enumerate_members_are_pairwise_distinct(p3_params, p3_members):
 
 
 def test_enumerate_reps_are_canonical():
-    """Per-item Python reference for the shared numpy orbit scan."""
-    for p in (3, 5, 7):
+    """Per-item scalar references for the shared numpy orbit scan and stabiliser pass."""
+    for p in (2, 3, 5, 7):
         irr = enumerate_classes(p, family="irr")
-        assert all(q.phi == canonical_phi(p, q.phi) for q in irr)
+        assert all(q.phi == _canonical_phi_reference(p, q.phi) for q in irr)
         alphas: dict = {}
         for q in irr:
             alphas.setdefault(q.phi, []).append(q.alpha)
-        assert all(got == phi_stabilizer(p, phi) for phi, got in alphas.items())
+        assert all(got == _phi_stabilizer_reference(p, phi) for phi, got in alphas.items())
         irr_keys = [(q.phi, q.alpha) for q in irr]
         assert irr_keys == sorted(set(irr_keys))
 
         mpl2_keys = []
         for q in enumerate_classes(p, family="mpl2"):
             pair = (tuple(v[0] for v in q.phi), q.s[0])
-            assert pair == canonical_mpl2_pair(p, *pair)
+            assert pair == _canonical_mpl2_pair_reference(p, *pair)
             mpl2_keys.append(pair)
         assert mpl2_keys == sorted(set(mpl2_keys))
+
+
+@pytest.mark.slow
+def test_enumerate_irretractable_classes_at_eleven():
+    """The 177,179 irretractable classes at p = 11 match the closed count, and
+    a seeded sample of their defect maps carries the reference stabiliser as twists."""
+    irr = enumerate_classes(11, family="irr")
+    assert len(irr) == count_formula(11).n_irr
+    alphas: dict = {}
+    for q in irr:
+        alphas.setdefault(q.phi, []).append(q.alpha)
+    for phi in random.Random(11).sample(sorted(alphas), 500):
+        assert alphas[phi] == _phi_stabilizer_reference(11, phi)
+    assert all(alphas[phi] == _phi_stabilizer_reference(11, phi) for phi in alphas if len(alphas[phi]) > 1)
 
 
 # -- recovering parameters from bare tables -------------------------------------
@@ -595,8 +658,8 @@ def test_each_read_off_refuses_the_other_families(p):
         (IrrParams(7, P7_PHI, 2), IrrParams(7, P7_PHI, 4)),
         (IrrParams(5, (0, 1, 4, 4, 1), 1), IrrParams(5, (0, 3, 1, 1, 3), 1)),
         (
-            mpl2_params(5, (5,), *canonical_mpl2_pair(5, (0, 1, 2, 3, 4), 1)),
-            mpl2_params(5, (5,), *canonical_mpl2_pair(5, (0, 1, 2, 3, 4), 2)),
+            mpl2_params(5, (5,), *_canonical_mpl2_pair_reference(5, (0, 1, 2, 3, 4), 1)),
+            mpl2_params(5, (5,), *_canonical_mpl2_pair_reference(5, (0, 1, 2, 3, 4), 2)),
         ),
     ],
     ids=["twisted7", "irr5", "mpl2_5"],
@@ -623,11 +686,11 @@ def _beyond_the_class_lists(p: int, rng: random.Random):
         half = [rng.randrange(p) for _ in range(p // 2 + 1)]
         even = (*half, *half[:0:-1])
         if any(f) and len(set(even)) > 1:
-            out.append((mpl2_cycle_set(p, (p,), f, s), mpl2_params(p, (p,), *canonical_mpl2_pair(p, f, s))))
-            out.append((irr_cycle_set(p, even, 1), IrrParams(p, canonical_phi(p, even), 1)))
+            out.append((mpl2_cycle_set(p, (p,), f, s), mpl2_params(p, (p,), *_canonical_mpl2_pair_reference(p, f, s))))
+            out.append((irr_cycle_set(p, even, 1), IrrParams(p, _canonical_phi_reference(p, even), 1)))
     if p == 13:
         quartic = tuple(pow(a, 4, p) for a in range(p))
-        out += [(irr_cycle_set(p, quartic, alpha), IrrParams(p, canonical_phi(p, quartic), alpha)) for alpha in (3, 9)]
+        out += [(irr_cycle_set(p, quartic, alpha), IrrParams(p, _canonical_phi_reference(p, quartic), alpha)) for alpha in (3, 9)]
     return out
 
 
@@ -653,9 +716,22 @@ def test_classify_at_twenty_three(monkeypatch):
         assert classify_size_p2(_relabeled(cs, rng)) == expect
 
 
+@pytest.mark.slow
+def test_classify_at_thirty_one(monkeypatch):
+    """Two level-two and two irretractable members at p = 31 (n = 961), each
+    classified in under 5 s without reading a class list."""
+    rng = random.Random(31)
+    _refuse_class_lists(monkeypatch)
+    for cs, expect in _beyond_the_class_lists(31, rng)[:4]:
+        moved = _relabeled(cs, rng)
+        start = time.perf_counter()
+        assert classify_size_p2(moved) == expect
+        assert time.perf_counter() - start < 5
+
+
 def _one_member_of_each_family(p: int):
     irr = {5: IrrParams(5, (0, 1, 4, 4, 1), 1), 7: IrrParams(7, P7_PHI, 2)}[p]
-    return [CyclicParams(p), mpl2_params(p, (p,), *canonical_mpl2_pair(p, tuple(range(p)), 1)), irr]
+    return [CyclicParams(p), mpl2_params(p, (p,), *_canonical_mpl2_pair_reference(p, tuple(range(p)), 1)), irr]
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cyclesets.perms as perms_module
 from cyclesets import (
     CapExceeded,
     NotTransitive,
@@ -106,10 +107,11 @@ def test_closure_drops_repeated_generators_in_first_appearance_order():
     assert (mul[:, [2, 4]] == distinct_mul[:, [1]]).all()
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     big = tuple(range(1, 30)) + (0,)
+    monkeypatch.setattr(perms_module, "_CAP", 10)
     with pytest.raises(CapExceeded):
-        closure([big], cap=10)
+        closure([big])
 
 
 def test_orbits():
