@@ -23,7 +23,7 @@ from .families import (
     params_to_dict, psi_iso_check, to_cycle_set,
 )
 from .classify import (
-    automorphisms, canonical_phi, classify_size_p2, enumerate_classes, iso_cycle_sets, phi_act, phi_stabilizer,
+    automorphisms, canonical_phi, classify_size_p2, enumerate_classes, iso_cycle_sets, phi_stabilizer,
 )
 from .oracle import OracleResult, SearchOptions, brute_aut, brute_iso, canonical_form, enumerate_cycle_sets
 

@@ -38,11 +38,6 @@ from .perms import Perm, _seed_systems, cycle_type
 # -- the twist action on one defect map ---------------------------------------
 
 
-def phi_act(p: int, alpha: int, phi) -> tuple[int, ...]:
-    """(alpha . f)(A) = alpha^{-1} * f(alpha*A)."""
-    return tuple(_twist(np.array([phi]), alpha, p)[0].tolist())
-
-
 def canonical_phi(p: int, phi) -> tuple[int, ...]:
     return _least_image(phi, p, _twist)[0]
 

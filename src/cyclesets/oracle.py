@@ -1,13 +1,12 @@
 """Brute-force ground truth at small sizes.
 
-Enumerates every cycle set table row by row (each row a permutation), pruning
-on the diagonal bijection and on every square-law instance whose four
-participating rows are already placed, then dedupes by the lexicographically
-least relabeling.  Two symmetry breaks cut the tree without losing a class:
-row 0 is one fixed permutation per pair of cycle type and length of the
-cycle through 0 (``_row0_reps``), and a row that the square law already
-decides from the placed rows is the only candidate tried for it
-(``_forced_rows``).
+Enumerates every cycle set table by branching on its least unplaced row (each
+row a permutation), closing the square law over the placed rows after each
+choice (``_close``: it checks the instances whose four rows are placed and
+places every row they decide), pruning on the diagonal bijection, then dedupes
+by the lexicographically least relabeling.  Row 0 is one fixed permutation
+per pair of cycle type and length of the cycle through 0 (``_row0_reps``),
+a symmetry break that loses no class.
 Independent of the family constructors and of the refined isomorphism engine,
 so it can audit both.
 
@@ -198,24 +197,6 @@ class _State:
     canon: set = field(default_factory=set)  # canonical tables found
 
 
-def _square_law_holds_at(rows, x: int, n: int) -> bool:
-    """Check the square-law instances that become decidable once row x exists."""
-    placed = x + 1
-    for a in range(placed):
-        ra = rows[a]
-        for b in range(placed):
-            u = ra[b]
-            v = rows[b][a]
-            if u >= placed or v >= placed:
-                continue
-            if max(a, b, u, v) != x:
-                continue  # decided at an earlier depth
-            ru, rv, rb = rows[u], rows[v], rows[b]
-            if any(ru[ra[c]] != rv[rb[c]] for c in range(n)):
-                return False
-    return True
-
-
 def _partitions(n: int, most: int):
     """The partitions of n into parts of at most ``most``, largest part first."""
     if n == 0:
@@ -246,35 +227,50 @@ def _row0_reps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(reps))
 
 
-def _forced_rows(rows, n: int):
-    """The next row as the square law decides it from the placed rows.
+def _close(rows, diag, trail, n: int) -> bool:
+    """Run the square law to a fixpoint over the placed rows; False on a
+    contradiction.
 
-    A placed pair a, b with s_a(b) = x (the next row) and v = s_b(a) < x
-    decides it: s_x s_a = s_v s_b, so s_x = s_v s_b s_a^-1.  Returns None when
-    no pair decides it, () when two pairs disagree, else a 1-tuple of the row.
+    rows[x] is row x, or None while it is unplaced; diag holds the placed
+    rows' diagonal entries s_x(x).  For a placed pair a, b with u = s_a(b)
+    and v = s_b(a), the law s_u s_a = s_v s_b is checked when rows u and v
+    are placed, places s_u = s_v s_b s_a^-1 when only v is (the pair b, a
+    gives the mirror case), and requires s_a = s_b when u = v is unplaced.  A
+    row it places must keep the diagonal injective, and goes on ``trail``.
+    Passes repeat until one places no row.
     """
-    x = len(rows)
-    row = None
-    for a, ra in enumerate(rows):
-        for b, rb in enumerate(rows):
-            if ra[b] != x or rb[a] >= x:
-                continue
-            rv = rows[rb[a]]
-            got = [0] * n
-            for c in range(n):
-                got[ra[c]] = rv[rb[c]]
-            got = tuple(got)
-            if row is None:
-                row = got
-            elif got != row:
-                return ()
-    return None if row is None else (row,)
+    placing = True
+    while placing:
+        placing = False
+        placed = [(a, r) for a, r in enumerate(rows) if r is not None]
+        for a, ra in placed:
+            for b, rb in placed:
+                u, v = ra[b], rb[a]
+                ru, rv = rows[u], rows[v]
+                if rv is None:
+                    if u == v and ra != rb:
+                        return False
+                    continue
+                if ru is not None:  # the pair b, a states the same law
+                    if a < b and tuple(map(ru.__getitem__, ra)) != tuple(map(rv.__getitem__, rb)):
+                        return False
+                    continue
+                got = [0] * n
+                for c, y in zip(ra, map(rv.__getitem__, rb)):  # s_u(s_a(c)) = s_v(s_b(c))
+                    got[c] = y
+                if got[u] in diag:
+                    return False
+                rows[u] = tuple(got)
+                diag.add(got[u])
+                trail.append(u)
+                placing = True
+    return True
 
 
-def _extend(rows, diag_used, n, state, cands):
-    """Try each of ``cands`` as the next row, and for each row after it the one
-    the square law forces, or every permutation when it forces none."""
-    x = len(rows)
+def _extend(rows, diag, n, state, cands):
+    """Try each of ``cands`` as the least unplaced row, close the square law
+    over it, and try every permutation for the least row still unplaced."""
+    x = next((y for y, row in enumerate(rows) if row is None), n)
     if x == n:
         # canonicalizing a hit is the expensive step at the top sizes, so the
         # deadline must be consulted here and not only every few hundred nodes
@@ -290,15 +286,15 @@ def _extend(rows, diag_used, n, state, cands):
             raise _Budget
         if state.deadline is not None and state.nodes % 512 == 0 and time.monotonic() > state.deadline:
             raise _Budget
-        if perm[x] in diag_used:
+        if perm[x] in diag:
             continue
-        rows.append(perm)
-        if _square_law_holds_at(rows, x, n):
-            diag_used.add(perm[x])
-            forced = _forced_rows(rows, n)
-            _extend(rows, diag_used, n, state, itertools.permutations(range(n)) if forced is None else forced)
-            diag_used.discard(perm[x])
-        rows.pop()
+        rows[x], trail = perm, [x]
+        diag.add(perm[x])
+        if _close(rows, diag, trail, n):
+            _extend(rows, diag, n, state, itertools.permutations(range(n)))
+        for y in trail:
+            diag.discard(rows[y][y])
+            rows[y] = None
 
 
 def _run_chunk(args):
@@ -308,7 +304,7 @@ def _run_chunk(args):
     share = None if max_nodes is None else max_nodes // jobs + (i < max_nodes % jobs)
     state = _State(max_nodes=share, deadline=deadline, keep=keep)
     try:
-        _extend([], set(), n, state, _row0_reps(n)[i::jobs])
+        _extend([None] * n, set(), n, state, _row0_reps(n)[i::jobs])
     except _Budget:
         return state.canon, state.nodes, False
     return state.canon, state.nodes, True
@@ -323,9 +319,10 @@ def enumerate_cycle_sets(opts: SearchOptions) -> OracleResult:
     of the cycle through 0; 67 at n = 9), dealt round-robin to opts.jobs
     searches (at most one per CPU; more than one run in worker processes),
     which share max_nodes: max_nodes // jobs each, one more for the first
-    max_nodes % jobs.  A later row is the one the square law forces from the
-    rows placed, when it forces one, else every permutation in turn.
-    ``nodes`` counts every candidate tried, whatever jobs is.
+    max_nodes % jobs.  After each choice the square law places every row it
+    decides from the rows placed; the least row still unplaced then tries
+    every permutation in turn.  ``nodes`` counts every candidate tried,
+    whatever jobs is; a row the law places is not a candidate.
     """
     n = opts.n
     if n < 1:

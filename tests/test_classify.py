@@ -36,7 +36,6 @@ from cyclesets import (
     iso_cycle_sets,
     mpl2_cycle_set,
     mpl2_params,
-    phi_act,
     phi_stabilizer,
     relabel,
     to_cycle_set,
@@ -92,28 +91,32 @@ def test_least_image_matches_the_references(drawn):
 # -- the twist action on defect maps ------------------------------------------
 
 
-def test_phi_act_frozen():
-    assert phi_act(3, 1, (0, 1, 1)) == (0, 1, 1)
-    assert phi_act(3, 2, (0, 1, 1)) == (0, 2, 2)
-    assert phi_act(2, 1, (0, 1)) == (0, 1)
+def _twist_one(p, alpha, phi):
+    return tuple(counting_module._twist(np.array([phi]), alpha, p)[0].tolist())
+
+
+def test_twist_frozen():
+    for p, alpha, phi, image in ((3, 1, (0, 1, 1), (0, 1, 1)), (3, 2, (0, 1, 1), (0, 2, 2)), (2, 1, (0, 1), (0, 1))):
+        assert _twist_one(p, alpha, phi) == image == _phi_act_reference(p, alpha, phi)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.tuples(*[st.integers(0, 4)] * 5))
-def test_phi_act_is_an_action(a, b, phi):
+def test_twist_is_an_action(a, b, phi):
     p = 5
-    assert phi_act(p, 1, phi) == tuple(v % p for v in phi)
-    assert phi_act(p, a, phi_act(p, b, phi)) == phi_act(p, (a * b) % p, phi)
+    assert _twist_one(p, 1, phi) == phi
+    assert _twist_one(p, a, phi) == _phi_act_reference(p, a, phi)
+    assert _twist_one(p, a, _twist_one(p, b, phi)) == _twist_one(p, (a * b) % p, phi)
 
 
 def test_phi_orbit_and_canonical():
-    assert {phi_act(3, alpha, (0, 2, 2)) for alpha in (1, 2)} == {(0, 1, 1), (0, 2, 2)}
+    assert {_twist_one(3, alpha, (0, 2, 2)) for alpha in (1, 2)} == {(0, 1, 1), (0, 2, 2)}
     assert canonical_phi(3, (0, 2, 2)) == (0, 1, 1)
     assert canonical_phi(7, P7_PHI) == P7_PHI
 
 
 @given(st.tuples(*[st.integers(0, 4)] * 5), st.integers(1, 4))
 def test_canonical_phi_is_orbit_invariant(phi, a):
-    assert canonical_phi(5, phi_act(5, a, phi)) == canonical_phi(5, phi)
+    assert canonical_phi(5, _twist_one(5, a, phi)) == canonical_phi(5, phi)
 
 
 def test_phi_stabilizer():

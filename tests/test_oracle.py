@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import time
 import tracemalloc
 from unittest import mock
@@ -126,9 +127,11 @@ def test_time_budget_zero():
 
 
 def test_time_budget_at_size_nine_overshoots_by_at_most_one_scan():
-    # row 0 starts at the identity, and no pair of identity rows forces a row,
-    # so the first complete size-9 table is the trivial one, whose canonical
-    # form keeps every relabeling to the last row: the dearest single scan
+    # row 0 starts at the identity, and among identity rows every pair a, b
+    # has u = b and v = a placed, so the closure places no row and each row
+    # first tries the identity: the first complete size-9 table is the trivial
+    # one, whose canonical form keeps every relabeling to the last row, the
+    # dearest single scan
     assert oracle._row0_reps(9)[0] == tuple(range(9))
     start = time.monotonic()
     result = enumerate_cycle_sets(SearchOptions(n=9, time_budget=0.5))
@@ -155,7 +158,7 @@ def test_jobs_do_not_change_the_answer(n4_all):
     assert split.complete
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 66), (4, 2_056)])
+@pytest.mark.parametrize("n, nodes", [(3, 46), (4, 1_207)])
 def test_jobs_do_not_change_the_node_count(n, nodes, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     assert [enumerate_cycle_sets(SearchOptions(n=n, jobs=jobs)).nodes for jobs in (1, 2)] == [nodes, nodes]
@@ -395,7 +398,16 @@ def test_every_row_is_conjugate_to_exactly_one_row0_representative(n):
         assert len(reps & {_conjugate(s, perm) for perm in fixing_0}) == 1
 
 
-def test_forced_rows_agree_with_every_known_table():
+def _closed(rows, diag=None):
+    """_close on a copy of ``rows`` (None for unplaced), with the placed rows'
+    diagonal unless ``diag`` is given: (its answer, its trail, the rows)."""
+    rows = list(rows)
+    diag = {row[x] for x, row in enumerate(rows) if row is not None} if diag is None else diag
+    trail = []
+    return oracle._close(rows, diag, trail, len(rows)), trail, rows
+
+
+def test_the_closure_places_only_the_rows_of_every_known_table():
     tables = [
         _ref_relabel(cs.table, perm)
         for n in range(1, 5)
@@ -404,10 +416,58 @@ def test_forced_rows_agree_with_every_known_table():
     ]
     tables += [to_cycle_set(q).table for q in enumerate_classes(3)]
     assert len(tables) == 1 + 2 * 2 + 5 * 6 + 23 * 24 + 16
-    decided = 0
+    rng = random.Random(23)
+    placed = beyond_the_least = 0
     for t in tables:
-        for x in range(len(t)):
-            forced = oracle._forced_rows(list(t[:x]), len(t))
-            assert forced in (None, (t[x],))
-            decided += forced is not None
-    assert decided > 0
+        n = len(t)
+        # every subset of rows below n = 9, 48 seeded ones at n = 9
+        masks = range(2**n) if n < 9 else [rng.getrandbits(n) for _ in range(48)]
+        for mask in masks:
+            ok, trail, rows = _closed([row if mask >> x & 1 else None for x, row in enumerate(t)])
+            assert ok
+            assert all(rows[x] == t[x] if mask >> x & 1 or x in trail else rows[x] is None for x in range(n))
+            placed += len(trail)
+            least = next((x for x in range(n) if not mask >> x & 1), n)
+            beyond_the_least += any(x != least for x in trail)
+    assert placed > 0 and beyond_the_least > 0
+
+
+_ID = (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, diag, closed",
+    [
+        # a, b = 0, 1: u = s_0(1) = 2 unplaced, v = s_1(0) = 0 placed, so
+        # s_2 = s_0 s_1 s_0^-1
+        pytest.param([(0, 2, 1), _ID, None], None, (True, [2], [(0, 2, 1), _ID, _ID]), id="s_u-from-v"),
+        # a, b = 0, 1: u = s_0(1) = 1 placed, v = s_1(0) = 2 unplaced, so the
+        # mirror pair 1, 0 gives s_2 = s_1 s_0 s_1^-1
+        pytest.param([_ID, (2, 1, 0), None], None, (True, [2], [_ID, (2, 1, 0), _ID]), id="s_v-from-u"),
+        # every row placed, diagonal 0, 1, 2; a, b = 0, 1 gives u = 2, v = 0
+        # and s_2 s_0 = (1, 2, 0) != s_0 s_1 = (0, 2, 1)
+        pytest.param([(0, 2, 1), _ID, (1, 0, 2)], None, (False, [], [(0, 2, 1), _ID, (1, 0, 2)]), id="check"),
+        # s_0(1) = s_1(0) = 2 unplaced, so s_2 s_0 = s_2 s_1 requires s_0 = s_1
+        pytest.param([(0, 2, 1), (2, 1, 0), None], None, (False, [], [(0, 2, 1), (2, 1, 0), None]), id="u-is-v"),
+        # a, b = 0, 1 forces s_2 = s_1 s_1 s_0^-1 = (2, 1, 0), whose s_2(2) = 0
+        # is s_0(0): refused at once, while with no diagonal held it is placed
+        pytest.param([(0, 2, 1), (1, 2, 0), None], None, (False, [], [(0, 2, 1), (1, 2, 0), None]), id="diagonal"),
+        pytest.param(
+            [(0, 2, 1), (1, 2, 0), None], set(), (False, [2], [(0, 2, 1), (1, 2, 0), (2, 1, 0)]), id="no-diagonal"
+        ),
+    ],
+)
+def test_each_closure_rule_decides_a_small_partial_table(rows, diag, closed):
+    assert _closed(rows, diag) == closed
+    if closed[0]:
+        assert check_cycle_set(CycleSet(closed[2])).ok
+
+
+@pytest.mark.slow
+def test_published_counts_at_six():
+    start = time.monotonic()
+    result = enumerate_cycle_sets(SearchOptions(n=6))
+    assert time.monotonic() - start < 30.0
+    assert len(result.classes) == 595
+    assert result.complete
+    assert sum(map(is_indecomposable, result.classes)) == 10

@@ -14,7 +14,7 @@ EXPORTS = {
     "inverse", "irr_cycle_set", "is_cycle_set_automorphism", "is_indecomposable", "is_irretractable",
     "is_perm", "is_prime", "is_simple", "is_transitive", "iso_cycle_sets", "mirror_perm",
     "mpl2_cycle_set", "mpl2_params", "multipermutation_level", "orbits", "params_from_dict",
-    "params_to_dict", "phi_act", "phi_stabilizer", "psi", "psi_iso_check", "quotients",
+    "params_to_dict", "phi_stabilizer", "psi", "psi_iso_check", "quotients",
     "relabel", "restrict", "retraction", "sigma_gens", "sub_cycle_set", "to_cycle_set", "to_solution",
     "two_adic_split", "verify_brace"
 }
