@@ -10,10 +10,12 @@ a symmetry break that loses no class.
 Independent of the family constructors and of the refined isomorphism engine,
 so it can audit both.
 
-``canonical_form`` scans the n! bijections in lexicographic order in numpy
-blocks (``_blocks``); ``brute_iso`` and ``brute_aut`` grow partial maps point
-by point in the same order (``_morphisms``).  So their outputs are the least
-table, the first isomorphism and the automorphisms in order, as a loop over
+``canonical_form`` reads the least table's row 0 off the rows' cycle types
+(``_laid``) and filters the other rows over only the labelings that reach it,
+each a base map times a centraliser element (``_labelings``), in numpy blocks;
+``brute_iso`` and ``brute_aut`` grow partial maps point by point in
+lexicographic order (``_morphisms``).  So their outputs are the least table,
+the first isomorphism and the automorphisms in order, as a loop over
 ``itertools.permutations`` would give them.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,8 +35,7 @@ from .errors import SizeTooLarge
 from .perms import Perm
 
 _BRUTE_LIMIT = 9
-# canonical_form's 720-bijection blocks stay small enough to be reused from the heap; 5040 was slower
-_TAIL = 6
+_SLICE = 720  # most relabelings canonical_form filters at once
 _CAP = 1024  # most partial maps _morphisms extends at once; 4096 made relabelled n = 8 pairs 60% slower
 
 
@@ -63,31 +65,64 @@ class OracleResult:
     elapsed: float
 
 
-@functools.cache
-def _tail_table(m: int) -> np.ndarray:
-    """The m! permutations of range(m) in lexicographic order, one per int8 column."""
-    table = np.array(list(zip(*itertools.permutations(range(m)))), dtype=np.int8)
-    table.flags.writeable = False  # shared by every scan
-    return table
+def _lay(lengths) -> tuple[int, ...]:
+    """One cycle of each length in turn on consecutive points: the cycle on
+    a..a+L-1 sends a -> a+1 -> ... -> a+L-1 -> a."""
+    perm: list[int] = []
+    for length in lengths:
+        perm += [len(perm) + (i + 1) % length for i in range(length)]
+    return tuple(perm)
 
 
-def _blocks(n: int):
-    """All bijections of range(n) in lexicographic order, one block at a time,
-    for canonical_form.
+@functools.lru_cache(maxsize=1 << 14)  # census tables share most of their rows
+def _laid(s: tuple[int, ...], x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the cycle lengths of s, the one through x first and the others
+    shortest first; the bijection B that lays them out from x: B(x) = 0 and
+    B s B^-1 = _lay(lengths), the least conjugate of s that sends x to 0).
 
-    A block is an (n, m!) intp array whose columns are the bijections: it
-    fixes the images of the first n - m points and runs the other m through
-    all their arrangements (m = min(n, _TAIL)), so at most 6! = 720
-    bijections are held at once.
+    A shorter cycle through 0 gives a less _lay, then a shorter next cycle,
+    so lengths compare like their _lay.
     """
-    m = min(n, _TAIL)
-    tail = _tail_table(m).astype(np.intp)
-    for prefix in itertools.permutations(range(n), n - m):
-        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.intp)
-        block = np.empty((n, tail.shape[1]), dtype=np.intp)
-        block[: n - m] = np.array(prefix, dtype=np.intp)[:, None]
-        block[n - m :] = rest[tail]
-        yield block
+    seen, cycles = set(), []
+    for c in (x, *range(len(s))):
+        cycle = []
+        while c not in seen:
+            seen.add(c)
+            cycle.append(c)
+            c = s[c]
+        if cycle:
+            cycles.append(cycle)
+    cycles[1:] = sorted(cycles[1:], key=len)
+    order = list(itertools.chain(*cycles))
+    return tuple(map(len, cycles)), tuple(sorted(range(len(s)), key=order.__getitem__))
+
+
+@functools.cache
+def _centraliser(lengths: tuple[int, ...]) -> np.ndarray:
+    """The permutations that fix 0 and commute with r = _lay(lengths), one per
+    intp column: the automorphisms that fix 0 of the table whose every row is
+    r, since relabeling it by P makes every row P r P^-1.  They come first in
+    lexicographic order; 8! = 40,320 of them at most for n <= 9.
+    """
+    t = np.array([_lay(lengths)] * sum(lengths))
+    maps = np.concatenate(list(itertools.takewhile(lambda hits: hits[0, 0] == 0, _morphisms(t, t))))
+    cent = maps[maps[:, 0] == 0].T.astype(np.intp)
+    cent.flags.writeable = False  # shared by every call
+    return cent
+
+
+def _labelings(lengths: tuple[int, ...], bases):
+    """Every bijection C B, for B in ``bases`` and C a column of
+    _centraliser(lengths); so, with each B from _laid(s_x, x), the bijections
+    P with P(x) = 0 and P s_x P^-1 = _lay(lengths).  They come as (n, w) intp
+    blocks of one per column, from slices of about _SLICE / len(bases)
+    columns C, so a block holds about _SLICE bijections.
+    """
+    cent = _centraliser(lengths)
+    cols = np.array(bases, dtype=np.intp).T  # column i is the i-th B
+    step = max(1, _SLICE // len(bases))
+    for lo in range(0, cent.shape[1], step):
+        yield cent[:, lo : lo + step][cols].reshape(len(cols), -1)
 
 
 def _morphisms(ta: np.ndarray, tb: np.ndarray):
@@ -133,29 +168,34 @@ def canonical_form(cs: CycleSet) -> CycleSet:
     """Lexicographically least table over all relabelings."""
     n = cs.n
     if n > _BRUTE_LIMIT:
-        raise SizeTooLarge(f"canonical form by full scan is limited to n <= {_BRUTE_LIMIT}")
-    t = np.array(cs.table, dtype=np.intp)
+        raise SizeTooLarge(f"brute-force canonical form is limited to n <= {_BRUTE_LIMIT}")
+    # relabeling by P moves row x to row P(x) as P s_x P^-1, so the least
+    # table's row 0 is the least _lay over x, and only the labelings that
+    # reach it are scanned
+    laid = [_laid(row, x) for x, row in enumerate(cs.table)]
+    least = min(laid)[0]
+    t = np.array(cs.table, dtype=np.intp).ravel()
     # a row packed base n into one int64 (n**n < 2**63 for n <= 15) compares
     # like the row itself
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     points = np.arange(n)[:, None]
-    best: list | None = None  # [(key, row)] of the least table so far
-    for block in _blocks(n):
+    best: list | None = None  # [(key, row)] of rows 1.. of the least table so far
+    for block in _labelings(least, [base for lengths, base in laid if lengths == least]):
         inv = np.empty_like(block)  # column c is the inverse of block's column c
         inv[block, np.arange(block.shape[1])] = points
         below = best is None  # already known to beat best on an earlier row
         rows = []
-        for u in range(n):
+        for u in range(1, n):
             # row u of each relabeled table, P[t[P^-1(u), P^-1(v)]] over v,
-            # read from the flattened block
+            # read from the flattened table and block
             w = block.shape[1]
-            row = block.ravel()[t[inv[u], inv] * w + np.arange(w)]
+            row = block.ravel().take(t.take(inv[u] * n + inv) * w + np.arange(w))
             key = powers @ row
             i = int(key.argmin())
             if not below:
-                if key[i] > best[u][0]:
+                if key[i] > best[u - 1][0]:
                     break
-                below = key[i] < best[u][0]
+                below = key[i] < best[u - 1][0]
             rows.append((key[i], row[:, i]))
             keep = key == key[i]
             if not keep.all():
@@ -163,7 +203,7 @@ def canonical_form(cs: CycleSet) -> CycleSet:
         else:
             if below:
                 best = rows
-    return CycleSet(np.array([row for _, row in best]))
+    return CycleSet(np.array([_lay(least), *(row for _, row in best)]))
 
 
 def brute_iso(a: CycleSet, b: CycleSet) -> Perm | None:
@@ -217,14 +257,7 @@ def _row0_reps(n: int) -> tuple[tuple[int, ...], ...]:
     into the other cycles) is enough: the cycle through 0 on 0..k-1, the
     other cycles on the points after it.
     """
-    reps = []
-    for k in range(1, n + 1):
-        for rest in _partitions(n - k, n - k):
-            perm: list[int] = []
-            for length in (k, *rest):
-                perm += [len(perm) + (i + 1) % length for i in range(length)]
-            reps.append(tuple(perm))
-    return tuple(sorted(reps))
+    return tuple(sorted(_lay((k, *rest)) for k in range(1, n + 1) for rest in _partitions(n - k, n - k)))
 
 
 def _close(rows, diag, trail, n: int) -> bool:

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,8 +131,9 @@ def test_time_budget_at_size_nine_overshoots_by_at_most_one_scan():
     # row 0 starts at the identity, and among identity rows every pair a, b
     # has u = b and v = a placed, so the closure places no row and each row
     # first tries the identity: the first complete size-9 table is the trivial
-    # one, whose canonical form keeps every relabeling to the last row, the
-    # dearest single scan
+    # one, the dearest single canonical form: every x reaches the identity
+    # row 0 through all 8! maps that fix 0, and all 9! labelings tie to the
+    # last row
     assert oracle._row0_reps(9)[0] == tuple(range(9))
     start = time.monotonic()
     result = enumerate_cycle_sets(SearchOptions(n=9, time_budget=0.5))
@@ -214,8 +216,8 @@ def test_result_shape(n4_all):
 
 
 def test_canonical_form_memory_is_bounded_by_the_scan_block():
-    # every relabeling of the trivial table ties on every row, so no block
-    # shrinks; a 9!-by-81 intp tensor would need 235 MB
+    # all 9! labelings of the trivial table reach its row 0 and tie on every
+    # row, so no block shrinks; a 9!-by-81 intp tensor would need 235 MB
     trivial = CycleSet(tuple(tuple(range(9)) for _ in range(9)))
     tracemalloc.start()
     try:
@@ -291,9 +293,9 @@ def _cycle_sets(draw, n=None):
     return _ref_relabel(table, tuple(draw(st.permutations(range(n)))))
 
 
-def _scan_blocks(data):
-    """Scan in blocks of m! bijections for a drawn m, so small sizes cross blocks."""
-    return mock.patch.object(oracle, "_TAIL", data.draw(st.sampled_from((2, 3, oracle._TAIL)), label="m"))
+def _canonical_slices(data):
+    """Filter the labelings in slices of a drawn size, so small sizes cross slices."""
+    return mock.patch.object(oracle, "_SLICE", data.draw(st.sampled_from((1, 2, 5, oracle._SLICE)), label="slice"))
 
 
 def _scan_slices(data):
@@ -330,10 +332,117 @@ def test_brute_aut_lists_every_automorphism_in_lexicographic_order(data):
 def test_canonical_form_is_the_least_relabeled_table(data):
     t = data.draw(_cycle_sets())
     assert check_cycle_set(CycleSet(t)).ok
-    with _scan_blocks(data):
+    with _canonical_slices(data):
         got = canonical_form(CycleSet(t)).table
     assert got == min(_ref_relabel(t, perm) for perm in itertools.permutations(range(len(t))))
     assert _all_ints(got)
+
+
+def _canonical_form_reference(cs):
+    """The scan canonical_form replaced: the n! bijections in lexicographic
+    order, in blocks that fix the images of the first n - m points and run
+    the other m = min(n, 6) through all their arrangements, each block's
+    relabelings filtered row by row against the least table so far."""
+    n = cs.n
+    t = np.array(cs.table, dtype=np.intp)
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    points = np.arange(n)[:, None]
+    m = min(n, 6)
+    tail = np.array(list(zip(*itertools.permutations(range(m)))), dtype=np.intp)
+    best = None
+    for prefix in itertools.permutations(range(n), n - m):
+        block = np.empty((n, tail.shape[1]), dtype=np.intp)
+        block[: n - m] = np.array(prefix, dtype=np.intp)[:, None]
+        block[n - m :] = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.intp)[tail]
+        inv = np.empty_like(block)
+        inv[block, np.arange(block.shape[1])] = points
+        below = best is None
+        rows = []
+        for u in range(n):
+            w = block.shape[1]
+            row = block.ravel()[t[inv[u], inv] * w + np.arange(w)]
+            key = powers @ row
+            i = int(key.argmin())
+            if not below:
+                if key[i] > best[u][0]:
+                    break
+                below = key[i] < best[u][0]
+            rows.append((key[i], row[:, i]))
+            keep = key == key[i]
+            block, inv = block[:, keep], inv[:, keep]
+        else:
+            if below:
+                best = rows
+    return CycleSet(np.array([row for _, row in best]))
+
+
+def _census_pool_of_size_eight():
+    """Z_8 and the level-two cycle sets on Z_2 x Z_4 and Z_4 x Z_2, every (f, s)."""
+    pool = [cyclic_cycle_set(8)]
+    pool += [mpl2_cycle_set(2, (4,), (0, f), s) for f in range(1, 4) for s in range(4)]
+    pool += [mpl2_cycle_set(4, (2,), (0, f & 1, f >> 1 & 1, f >> 2 & 1), s) for f in range(1, 8) for s in range(2)]
+    return pool
+
+
+def _relabeled(cs, rng):
+    perm = list(range(cs.n))
+    rng.shuffle(perm)
+    return CycleSet(_ref_relabel(cs.table, tuple(perm)))
+
+
+def test_canonical_form_equals_the_block_scan(monkeypatch):
+    seen = []
+    monkeypatch.setattr(oracle, "canonical_form", lambda cs: seen.append(cs) or canonical_form(cs))
+    for n in range(1, 5):
+        enumerate_cycle_sets(SearchOptions(n=n))
+    monkeypatch.undo()
+    assert len(seen) == 1 + 2 + 9 + 74
+    rng = random.Random(8)
+    pool = [_relabeled(cs, rng) for cs in _census_pool_of_size_eight()]
+    assert len(pool) == 27
+    for cs in seen + pool:
+        assert canonical_form(cs) == _canonical_form_reference(cs)
+
+
+@pytest.mark.slow
+def test_canonical_form_equals_the_block_scan_at_size_nine():
+    rng = random.Random(9)
+    classes = [_relabeled(to_cycle_set(q), rng) for q in enumerate_classes(3)]
+    assert len(classes) == 16
+    for cs in classes:
+        assert canonical_form(cs) == _canonical_form_reference(cs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("slice_", [3, None])
+def test_labelings_are_the_maps_that_send_x_to_0_and_s_x_to_the_least_row(n, slice_, monkeypatch):
+    if slice_ is not None:
+        monkeypatch.setattr(oracle, "_SLICE", slice_)
+    rng = random.Random(n)
+    perms = list(itertools.permutations(range(n)))
+    types = list(oracle._partitions(n, n))
+    assert len(types) == [1, 2, 3, 5, 7, 11][n - 1]
+    for lengths in types:
+        s = _conjugate(oracle._lay(lengths), rng.sample(range(n), n))  # a seeded one of this cycle type
+        reaching = {}  # the least row's lengths -> [B for each x], the P that reach it
+        for x in range(n):
+            to_0 = [p for p in perms if p[x] == 0]
+            least = min(_conjugate(s, p) for p in to_0)
+            laid, base = oracle._laid(s, x)
+            assert oracle._lay(laid) == least
+            want = {p for p in to_0 if _conjugate(s, p) == least}
+            assert _columns(oracle._labelings(laid, [base])) == want
+            bases, wants = reaching.setdefault(laid, ([], set()))
+            bases.append(base)
+            wants |= want
+        for laid, (bases, wants) in reaching.items():  # every x whose cycle is as long, at once
+            assert _columns(oracle._labelings(laid, bases)) == wants
+
+
+def _columns(blocks):
+    got = [tuple(col) for block in blocks for col in block.T.tolist()]
+    assert len(got) == len(set(got))
+    return set(got)
 
 
 # -- the census, against the plain row-by-row search ---------------------------
