@@ -219,7 +219,7 @@ class PermBrace:
     def socle(self) -> BraceSubset:
         """a with lambda_a = id, i.e. g_{a(z)} = g_z for every point z."""
         mask = (self.gidx[self.elems] == self.gidx).all(axis=1)
-        return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
+        return self._tag(np.flatnonzero(mask), circ_sub=True)
 
     def fix(self) -> BraceSubset:
         """Elements fixed by every lambda_s; the generators suffice, as lambda is multiplicative."""
@@ -227,93 +227,78 @@ class PermBrace:
         for g in _distinct(self.gidx):
             lr = self.lam_row(int(g))
             cand = cand[lr[cand] == cand]
-        # lambda_s is additive, so the fixed set is +-closed; it is also
-        # o-closed (conjugate the subscript).
-        return self.classify_subset(cand, known_add_subgroup=True, known_circ_subgroup=True)
+        # o-closed (conjugate the subscript); being lambda-stable, it is then
+        # +-closed too, as a + b = a o lambda_a^{-1}(b).
+        return self._tag(cand, circ_sub=True)
 
     def block_stabilizer(self, system) -> BraceSubset:
-        """Elements whose point permutation maps every given block onto itself."""
+        """Elements whose point permutation maps every block of the partition ``system`` onto itself."""
+        blocks = [_points(block, self.n_points) for block in system]
+        flat = np.concatenate([np.empty(0, dtype=np.intp), *blocks])
+        if not np.array_equal(np.sort(flat), np.arange(self.n_points)):
+            raise ValueError("the blocks must hold every point exactly once")
         block_of = np.empty(self.n_points, dtype=np.int64)
-        for bid, block in enumerate(system):
-            block_of[list(block)] = bid
+        block_of[flat] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
         mask = (block_of[self.elems] == block_of[None, :]).all(axis=1)
-        return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
+        return self._tag(np.flatnonzero(mask), circ_sub=True)
 
     def circ_center(self) -> BraceSubset:
         """Elements commuting with everything under the circle product."""
         mask = np.ones(self.order, dtype=bool)
         for g in _distinct(self.gidx):
             mask &= self.circ_row_left(int(g)) == self.circ_row_right(int(g))
-        return self.classify_subset(np.flatnonzero(mask), known_circ_subgroup=True)
+        return self._tag(np.flatnonzero(mask), circ_sub=True)
 
     def circ_span(self, indices) -> tuple[int, ...]:
         """Subgroup generated under o by the given elements."""
         gens = _points(indices, self.order, "element")
-        return tuple(np.flatnonzero(self._saturate(gens)).tolist())
+        return tuple(np.flatnonzero(self._span(gens, self.circ_many)).tolist())
 
-    def _saturate(self, gens, span=None) -> np.ndarray:
-        """The mask of the o-subgroup generated by ``gens`` and the subgroup
-        ``span`` (zero alone by default), which it grows in place."""
-        span = np.arange(self.order) == self.zero if span is None else span
-        gens = np.fromiter(gens, dtype=np.int64)
-        new = np.flatnonzero(span)
-        while new.size:
-            got = self.circ_many(np.repeat(new, gens.size), np.tile(gens, new.size))
-            new = _distinct(got[~span[got]])
-            span[new] = True
+    def _span(self, gens, op, inside=None) -> np.ndarray | None:
+        """Mask of the subgroup the index array ``gens`` generates under ``op``
+        (circ_many or add_many); None once a product leaves the mask ``inside``.
+        From zero, each generator not yet reached multiplies the span so far,
+        then each new element meets every generator taken.  Each one at least
+        doubles the span, so a subgroup S costs at most |S| log2 |S| products."""
+        span, taken = np.arange(self.order) == self.zero, []
+        for g in gens.tolist():
+            if span[g]:
+                continue
+            taken.append(g)
+            new, by = np.flatnonzero(span), np.array([g])
+            while new.size:
+                got = op(np.repeat(new, by.size), np.tile(by, new.size))
+                new = _distinct(got[~span[got]])
+                if inside is not None and not inside[new].all():
+                    return None
+                span[new], by = True, np.array(taken)
         return span
 
-    def _closed(self, S: np.ndarray, members: np.ndarray, op, limit: int) -> bool:
-        """Whether op(s, t) is a member for all s, t in S, one t at a time."""
-        if S.size > limit:
-            raise SizeTooLarge("subset too large for a pairwise closure check")
-        return all(members[op(S, np.full(S.size, t))].all() for t in S.tolist())
-
-    def _circ_gens_of_subgroup(self, S: np.ndarray) -> list[int]:
-        gens: list[int] = []
-        span = self._saturate(gens)
-        for s in S.tolist():
-            if not span[s]:
-                gens.append(s)
-                self._saturate(gens, span)
-        return gens
-
-    def classify_subset(
-        self, indices, *, known_add_subgroup: bool = False, known_circ_subgroup: bool = False
-    ) -> BraceSubset:
+    def classify_subset(self, indices) -> BraceSubset:
         """Tag a subset: +-subgroup, o-subgroup, left ideal, ideal.
 
-        Since a o b = a + lambda_a(b), a lambda-stable subset is +-closed
-        exactly when it is o-closed, so one verified closure (or one the
-        caller vouches for) settles the other without a pairwise scan.
-        """
-        S = _distinct(_points(indices, self.order, "element"))
+        A subset holding zero is closed exactly when its _span never leaves
+        it, with no size cap.  As a o b = a + lambda_a(b), a lambda-stable
+        subset is +-closed exactly when it is o-closed: one span settles both."""
+        return self._tag(_distinct(_points(indices, self.order, "element")))
+
+    def _tag(self, S: np.ndarray, circ_sub: bool | None = None) -> BraceSubset:
+        """classify_subset of the sorted distinct S; circ_sub=True vouches that S is an o-subgroup."""
         idx = tuple(S.tolist())
         if len(idx) == self.order:
             return BraceSubset(idx, True, True, True, True)
         members = np.isin(np.arange(self.order), S)
-        has_zero = bool(members[self.zero])
         gens, points = np.unique(self.gidx, return_index=True)  # g_x for one x per generator
         lam_stable = all(members[self.lam_row(g)[S]].all() for g in gens)
-        add_sub, circ_sub = known_add_subgroup, known_circ_subgroup
-        if not (circ_sub or (add_sub and lam_stable)):
-            circ_sub = has_zero and self._closed(S, members, self.circ_many, 2048)
-        if lam_stable and (add_sub or circ_sub):
-            add_sub = circ_sub = True
-        if not add_sub:
-            if circ_sub:
-                # an o-subgroup is +-closed iff stable under its own lambdas
-                gens_S = self._circ_gens_of_subgroup(S)
-                add_sub = all(members[self.lam_row(s)[S]].all() for s in gens_S)
-            else:
-                add_sub = has_zero and self._closed(S, members, self.add_many, 128)
+        closed = lambda op: bool(members[self.zero]) and self._span(S, op, members) is not None
+        circ_sub = closed(self.circ_many) if circ_sub is None else circ_sub
+        add_sub = circ_sub if lam_stable else closed(self.add_many)
         # g_x o S = S o g_x as sets for every generator, where s o g_x = s + g_{s(x)}
         left = self.circ_many(np.repeat(gens, S.size), np.tile(S, len(gens)))
         right = self.plus[S, self.elems[S][:, points].T]
         normal = bool((np.sort(left.reshape(right.shape), axis=1) == np.sort(right, axis=1)).all())
         left_ideal = add_sub and lam_stable
-        ideal = left_ideal and circ_sub and normal
-        return BraceSubset(idx, add_sub, circ_sub, left_ideal, ideal)
+        return BraceSubset(idx, add_sub, circ_sub, left_ideal, left_ideal and circ_sub and normal)
 
     # -- materialised tables (guarded) ----------------------------------------
 

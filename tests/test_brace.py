@@ -37,6 +37,11 @@ def brace81():
     return build_perm_brace(irr_cycle_set(3, (0, 1, 1), 1))
 
 
+@pytest.fixture(scope="module")
+def brace625():
+    return build_perm_brace(irr_cycle_set(5, (0, 1, 4, 4, 1), 1))
+
+
 def test_cyclic_brace_is_trivial():
     br = build_perm_brace(cyclic_cycle_set(4))
     assert br.order == 4
@@ -180,7 +185,14 @@ def _tags_by_brute_force(br, subset):
     return add_closed, circ_closed, left_ideal, left_ideal and circ_closed and normal
 
 
-def test_classify_subset_tags_match_brute_force(brace8, brace81):
+def _check_tags(br, subset):
+    tags = br.classify_subset(subset)
+    got = (tags.add_subgroup, tags.circ_subgroup, tags.left_ideal, tags.ideal)
+    assert got == _tags_by_brute_force(br, subset), subset
+    return got
+
+
+def test_classify_subset_tags_match_brute_force(brace8, brace81, brace625):
     # per brace: a proper nontrivial ideal (orders 4 and 27), then seeded draws
     for br, ideal_gens in [(brace8, [5, 6]), (brace81, [28, 35])]:
         n = br.order
@@ -197,12 +209,36 @@ def test_classify_subset_tags_match_brute_force(brace8, brace81):
         ]
         decided = set()
         for subset in subsets:
-            tags = br.classify_subset(subset)
-            got = (tags.add_subgroup, tags.circ_subgroup, tags.left_ideal, tags.ideal)
-            assert got == _tags_by_brute_force(br, subset), subset
+            ideal = _check_tags(br, subset)[3]
             if 1 < len(subset) < n:
-                decided.add(tags.ideal)
+                decided.add(ideal)
         assert decided == {True, False}
+    # past the pairwise scan's old caps (2,048 elements for o, 128 for +): the
+    # order-125 block stabiliser, it with five non-members, and 200 seeded
+    # elements through zero
+    br, rng = brace625, np.random.default_rng(5)
+    system = block_systems(sigma_gens(irr_cycle_set(5, (0, 1, 4, 4, 1), 1)), 25)[0]
+    stab = list(br.block_stabilizer(system).indices)
+    assert len(stab) == 125 and _check_tags(br, stab) == (False, True, False, False)
+    outside = np.setdiff1d(np.arange(br.order), stab)
+    _check_tags(br, sorted(stab + rng.choice(outside, 5, replace=False).tolist()))
+    drawn = rng.choice(np.arange(1, br.order), 199, replace=False).tolist()
+    _check_tags(br, [br.zero, *sorted(drawn)])
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        [(0, 1, 2), (3, 4, 5)],
+        [(0, 1, 2), (3, 4, 5), (6, 7, -1)],
+        [(0, 1, 2), (2, 3, 4, 5), (5, 6, 7, 8)],
+        [(0, 1, 2), (3, 4, 5), (6, 7, 9)],
+    ],
+    ids=["uncovered", "negative", "overlapping", "too_large"],
+)
+def test_block_stabilizer_refuses_a_system_that_is_not_a_partition(brace81, system):
+    with pytest.raises(ValueError):
+        brace81.block_stabilizer(system)
 
 
 def test_block_stabilizer_is_not_an_ideal(brace81):
@@ -307,6 +343,16 @@ def _neg_ref(br, i):
 
 def _small_cycle_sets():
     return [to_cycle_set(q) for p in (2, 3) for q in enumerate_classes(p)]
+
+
+@pytest.mark.parametrize("cs", _small_cycle_sets() + [irr_cycle_set(5, _P5_PHIS[0], 1)])
+def test_vouched_subsets_tag_as_classify_subset(cs):
+    """socle, fix, block_stabilizer and circ_center vouch that their set is an
+    o-subgroup; the vouch skips a span but changes no tag."""
+    br = build_perm_brace(cs)
+    systems = block_systems(sigma_gens(cs), cs.n)
+    for got in (br.socle(), br.fix(), br.circ_center(), *map(br.block_stabilizer, systems)):
+        assert got == br.classify_subset(got.indices)
 
 
 @pytest.mark.parametrize("cs", _small_cycle_sets() + [irr_cycle_set(5, _P5_PHIS[0], 1)])
