@@ -9,13 +9,15 @@ which makes (G, +, o) a brace: lambda_a(b) = -a + a o b is an additive
 automorphism for every a, and lambda_a(g_x) = g_{a(x)}.
 
 G is closed by ``perms.closure``; element i is row i of its result, and
-element 0 (the identity) is the additive zero.  The one table kept is
-``plus[i, x] = i + g_x``, read off the closure's products.  A breadth-first
-search over ``plus`` gives every element a generator word, and each
-operation folds words through ``plus``: i + j adds j's letters g_z to i,
-lambda_i(j) adds the twisted letters g_{i(z)} to zero, and
-i o j = i + lambda_i(j) adds them to i.  No fold looks up a row, so
-``verify_brace`` checks o against the composition of the rows.
+element 0 (the identity) is the additive zero.  The table kept is
+``plus[i, x] = i + g_x``, read off the closure's products, with its
+column-wise inverse ``minus[i, x] = i - g_x`` built on the first negation.
+A breadth-first search over ``plus`` gives every element a generator word,
+and every operation folds acc = table[acc, z] over a word's letters z:
+i + j adds j's letters g_z to i, -j subtracts them from zero, lambda_i(j)
+adds the twisted letters g_{i(z)} to zero and i o j = i + lambda_i(j) adds
+them to i.  No fold looks up a row, so ``verify_brace`` checks o against
+the composition of the rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import numpy as np
 from .cycleset import CycleSet, _distinct, _points, assert_valid
 from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
 from .perms import closure, inverse_rows
+
+_TABLE_MAX = 512  # the largest group order whose (order, order) tables are built
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,9 @@ class PermBrace:
         # plus[i, x] = i + g_x = i o g_{i^{-1}(x)}
         self.plus = np.take_along_axis(mul, self.inv_elems, 1).astype(np.int64)
         self.zero = 0
-        self._build_additive_bfs()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_additive_bfs(self):
-        order, n = self.elems.shape
-        self.parent_elem, self.parent_point = np.full((2, order), -1, dtype=np.int64)
-        visited = np.arange(order) == self.zero
+        # breadth-first search over plus from zero: j = parent_elem[j] + g_{parent_point[j]}
+        self.parent_elem, self.parent_point = np.full((2, len(elems)), -1, dtype=np.int64)
+        visited = np.arange(len(elems)) == self.zero
         self.levels = []
         level = np.array([self.zero], dtype=np.int64)
         while level.size:
@@ -70,20 +69,19 @@ class PermBrace:
             fresh = np.flatnonzero(~visited[dst])
             # keep the first discovery of each element in this batch
             new, first = np.unique(dst[fresh], return_index=True)
-            k, self.parent_point[new] = np.divmod(fresh[first], n)
+            k, self.parent_point[new] = np.divmod(fresh[first], self.n_points)
             self.parent_elem[new] = level[k]
             visited[new] = True
             level = new
         if not visited.all():
             raise InconsistentAddition("additive generators do not span the permutation group")
-        # neg_gen[x] = -g_x: the last element before zero on the walk g_x, 2g_x, ...
-        self.neg_gen = np.full(n, self.zero, dtype=np.int64)
-        cur = self.plus[self.zero].copy()
-        live = np.flatnonzero(cur != self.zero)
-        while live.size:
-            self.neg_gen[live] = cur[live]
-            cur[live] = self.plus[cur[live], live]
-            live = live[cur[live] != self.zero]
+
+    @cached_property
+    def minus(self) -> np.ndarray:
+        """minus[i, x] = i - g_x, the column-wise inverse of plus, built on the first negation."""
+        minus = np.empty_like(self.plus)
+        minus[self.plus, np.arange(self.n_points)] = np.arange(self.order)[:, None]
+        return minus
 
     # -- elements --------------------------------------------------------------
 
@@ -108,43 +106,38 @@ class PermBrace:
 
     # -- folds over index arrays ----------------------------------------------
 
-    def _fold_words(self, acc, j, step) -> np.ndarray:
-        """Fold the generator word of each j[k] onto acc[k], one letter per
-        pass: acc[live] = step(acc[live], letters, live) for every still-live
-        flat position k.  acc and j have one shape, 0-d included."""
+    def _fold_words(self, table, acc, j, i=None) -> np.ndarray:
+        """acc = table[acc, z] for each letter z of j's word, one pass per letter
+        over the still-live flat positions; a subscript i reads z as elems[i, z],
+        as lambda_i(g_z) = g_{i(z)}.  acc, j and i share one shape, 0-d included."""
         shape = np.shape(j)
         acc = np.array(acc, dtype=np.int64).reshape(-1)
         cur = np.array(j, dtype=np.int64).reshape(-1)
+        i = None if i is None else np.asarray(i, dtype=np.int64).reshape(-1)
         live = np.flatnonzero(cur != self.zero)
         while live.size:
             c = cur[live]
-            acc[live] = step(acc[live], self.parent_point[c], live)
+            z = self.parent_point[c]
+            acc[live] = table[acc[live], z if i is None else self.elems[i[live], z]]
             cur[live] = c = self.parent_elem[c]
             live = live[c != self.zero]
         return acc.reshape(shape)
 
     def add_many(self, i, j) -> np.ndarray:
         """i + j, elementwise."""
-        return self._fold_words(i, j, lambda acc, z, k: self.plus[acc, z])
-
-    def _lam_from(self, acc, i, j) -> np.ndarray:
-        """acc + lambda_i(j), elementwise: lambda_i(g_z) = g_{i(z)}."""
-        i = np.asarray(i, dtype=np.int64).reshape(-1)
-        step = lambda acc, z, k: self.plus[acc, self.elems[i[k], z]]
-        return self._fold_words(acc, j, step)
+        return self._fold_words(self.plus, i, j)
 
     def lam_many(self, i, j) -> np.ndarray:
         """lambda_i(j) = -i + i o j, elementwise."""
-        return self._lam_from(np.full(np.shape(j), self.zero), i, j)
+        return self._fold_words(self.plus, np.full(np.shape(j), self.zero), j, i)
 
     def circ_many(self, i, j) -> np.ndarray:
         """i o j = i + lambda_i(j), elementwise."""
-        return self._lam_from(i, i, j)
+        return self._fold_words(self.plus, i, j, i)
 
     def neg_many(self, i) -> np.ndarray:
         """-i, elementwise."""
-        step = lambda acc, z, k: self.add_many(acc, self.neg_gen[z])
-        return self._fold_words(np.full(np.shape(i), self.zero), i, step)
+        return self._fold_words(self.minus, np.full(np.shape(i), self.zero), i)
 
     def add_pow(self, k: int, i) -> np.ndarray:
         """The additive multiple k·i, elementwise (k may be negative)."""
@@ -173,7 +166,8 @@ class PermBrace:
         return flat(self.plus), flat(self.elems), words
 
     def _fold(self, acc: int, j: int, i: int = 0) -> int:
-        """acc + lambda_i(j) (lambda_0 is the identity), one letter at a time."""
+        """acc + lambda_i(j) (lambda_0 is the identity), one letter at a time; the
+        array fold's set-up would cost a scalar call some thirty times as much."""
         plus, elems, words = self._scalar
         n, acc, row = self.n_points, int(acc), int(i) * self.n_points
         for z in words[j]:
@@ -300,25 +294,22 @@ class PermBrace:
         left_ideal = add_sub and lam_stable
         return BraceSubset(idx, add_sub, circ_sub, left_ideal, left_ideal and circ_sub and normal)
 
-    # -- materialised tables (guarded) ----------------------------------------
+    # -- materialised tables (order <= _TABLE_MAX) ----------------------------
 
-    def _guard(self, max_order: int):
-        if self.order > max_order:
-            raise SizeTooLarge(f"group order {self.order} exceeds table bound {max_order}")
+    def _table(self, start, i) -> np.ndarray:
+        """out[a, j] = start[a] + lambda_{i[a]}(j), refused above _TABLE_MAX."""
+        if self.order > _TABLE_MAX:
+            raise SizeTooLarge(f"group order {self.order} exceeds table bound {_TABLE_MAX}")
+        return np.ascontiguousarray(self._fold_levels(start, i).T)
 
-    def circ_table(self, max_order: int = 512) -> np.ndarray:
-        self._guard(max_order)
-        every = np.arange(self.order)
-        return np.ascontiguousarray(self._fold_levels(every, every).T)
+    def circ_table(self) -> np.ndarray:
+        return self._table(np.arange(self.order), np.arange(self.order))
 
-    def add_table(self, max_order: int = 512) -> np.ndarray:
-        self._guard(max_order)
-        every = np.arange(self.order)
-        return np.ascontiguousarray(self._fold_levels(every, 0 * every).T)
+    def add_table(self) -> np.ndarray:
+        return self._table(np.arange(self.order), np.zeros(self.order, dtype=np.int64))
 
-    def lam_table(self, max_order: int = 512) -> np.ndarray:
-        self._guard(max_order)
-        return np.ascontiguousarray(self._fold_levels(self.zero, np.arange(self.order)).T)
+    def lam_table(self) -> np.ndarray:
+        return self._table(self.zero, np.arange(self.order))
 
 
 def build_perm_brace(cs: CycleSet) -> PermBrace:
@@ -339,8 +330,7 @@ def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
     e, n = brace.elems, brace.order
     if n <= 96:
         # int16 tables: the order^3 gathers below then move a quarter of the bytes
-        add = brace.add_table(max_order=96).astype(np.int16)
-        circ = brace.circ_table(max_order=96).astype(np.int16)
+        add, circ, lam = (t().astype(np.int16) for t in (brace.add_table, brace.circ_table, brace.lam_table))
         if not (add == add.T).all():
             raise InvariantViolation("addition is not commutative")
         if not (add[add] == add[:, add]).all():
@@ -351,7 +341,6 @@ def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
         rhs = add[add[circ[:, :, None], neg[:, None, None]], circ[:, None, :]]  # a o b - a + a o c
         if not (circ[:, add] == rhs).all():  # a o (b + c) on the left
             raise InvariantViolation("o is not distributive over + in the brace sense")
-        lam = brace.lam_table(max_order=96).astype(np.int16)
         if not (lam[:, add] == add[lam[:, :, None], lam[:, None, :]]).all():
             raise InvariantViolation("lambda_a is not additive")
         if not (lam[circ] == lam[:, lam]).all():

@@ -21,6 +21,12 @@ _Table = tuple[tuple[int, ...], ...]
 _CHUNK = 1 << 14
 
 
+def _has_bool(entries) -> bool:
+    """True when an entry is a bool, Python's or numpy's: numpy reads a list
+    that mixes bools with ints as ints, so such a list is scanned for them."""
+    return not {bool, np.bool_}.isdisjoint(map(type, entries))
+
+
 def _table(rows, what: str) -> _Table:
     """An n x n table of integers in 0..n-1, as a tuple of int tuples.
 
@@ -35,14 +41,12 @@ def _table(rows, what: str) -> _Table:
     if t.ndim >= 1 and len(t) == 0:
         raise ValueError(f"a {what} needs at least one point")
     square = t.ndim == 2 and t.shape[0] == t.shape[1]
-    # bool is not an integer dtype, but numpy reads a Python list that mixes
-    # bools with ints as ints, so such a list is scanned for them
     if (
         not square
         or not np.issubdtype(t.dtype, np.integer)
         or t.min() < 0
         or t.max() >= len(t)
-        or (not isinstance(rows, np.ndarray) and bool in set(map(type, chain.from_iterable(rows))))
+        or (not isinstance(rows, np.ndarray) and _has_bool(chain.from_iterable(rows)))
     ):
         raise ValueError(f"malformed {what} table")
     return tuple(map(tuple, t.tolist()))
@@ -52,13 +56,12 @@ def _points(values, n: int, what: str = "point") -> np.ndarray:
     """``values``, any iterable, as an integer array of indices in 0..n-1.
 
     One array check: ValueError for entries that are not integers (floats
-    are not truncated, bools are refused) or lie outside 0..n-1.  numpy reads
-    a list that mixes bools with ints as ints, so such a list is scanned.
+    are not truncated, bools are refused) or lie outside 0..n-1.
     """
     bools = False
     if not isinstance(values, np.ndarray):
         values = list(values)
-        bools = not {bool, np.bool_}.isdisjoint(map(type, values))
+        bools = _has_bool(values)
     a = np.asarray(values)
     if bools or a.size and not (np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() < n):
         raise ValueError(f"{what}s must be integers in 0..{n - 1}")
@@ -164,10 +167,11 @@ def _is_morphism(ta, tb, f) -> bool:
     return bool((f[np.asarray(ta)] == np.asarray(tb)[f[:, None], f]).all())
 
 
-def assert_valid(cs: CycleSet) -> CycleSet:
+def assert_valid(cs: CycleSet, what: str = "not a cycle set: {}") -> CycleSet:
+    """cs itself; InvariantViolation(what.format(report)) when an axiom fails."""
     rep = check_cycle_set(cs)
     if not rep.ok:
-        raise InvariantViolation(f"not a cycle set: {rep}")
+        raise InvariantViolation(what.format(rep))
     return cs
 
 
@@ -226,7 +230,7 @@ def sub_cycle_set(cs: CycleSet, subset) -> tuple[int, ...]:
     while frontier:
         x = frontier.pop()
         for y in list(closed):
-            for z in (cs.table[x][y], cs.table[y][x], cs.table[x][x]):
+            for z in (cs.table[x][y], cs.table[y][x]):
                 if z not in closed:
                     closed.add(z)
                     frontier.append(z)
@@ -307,9 +311,7 @@ def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]
             induced, _ = _induced_table(cs, cls)
         except InducedTableIllDefined:
             continue
-        if not check_cycle_set(induced).ok:
-            raise InvariantViolation("well-defined quotient is not a cycle set")
-        out.append((system, induced))
+        out.append((system, assert_valid(induced, "well-defined quotient is not a cycle set")))
     return out
 
 

@@ -23,7 +23,7 @@ from math import prod
 import numpy as np
 
 from .brace import build_perm_brace
-from .cycleset import CycleSet, _is_morphism, check_cycle_set
+from .cycleset import CycleSet, _is_morphism, assert_valid
 from .counting import check_fits, is_prime
 from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism
 from .perms import Perm, inverse_rows, is_perm
@@ -233,22 +233,14 @@ def deform(cs: CycleSet, perm: Perm) -> CycleSet:
     """Twist the table to x *' y = perm[x*y]; perm must be an automorphism."""
     if not is_cycle_set_automorphism(cs, perm):
         raise NotAnAutomorphism("deforming map must be a cycle set automorphism")
-    out = CycleSet(np.array(perm)[np.array(cs.table)])
-    rep = check_cycle_set(out)
-    if not rep.ok:
-        raise InvariantViolation(f"deformed table is not a cycle set: {rep}")
-    return out
+    return assert_valid(CycleSet(np.array(perm)[np.array(cs.table)]), "deformed table is not a cycle set: {}")
 
 
 def cable(cs: CycleSet, k: int) -> CycleSet:
     """Replace each row x*(-) by the inverse of k·g_x, with g_x = (x*(-))^{-1}
     an additive generator of the row brace."""
     br = build_perm_brace(cs)
-    out = CycleSet(br.inv_elems[br.add_pow(k, br.gidx)])
-    rep = check_cycle_set(out)
-    if not rep.ok:
-        raise InvariantViolation(f"cabled table is not a cycle set: {rep}")
-    return out
+    return assert_valid(CycleSet(br.inv_elems[br.add_pow(k, br.gidx)]), "cabled table is not a cycle set: {}")
 
 
 # -- the co-simple presentation of the irretractable members -----------------

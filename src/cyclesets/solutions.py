@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycleset import CycleSet, _first_mismatch, _Table, _table, assert_valid, check_cycle_set
+from .cycleset import CycleSet, _first_mismatch, _Table, _table, assert_valid
 from .errors import InvariantViolation
 from .perms import inverse_rows
 
@@ -32,9 +32,6 @@ class Solution:
     @property
     def n(self) -> int:
         return len(self.lam)
-
-    def r(self, x: int, y: int) -> tuple[int, int]:
-        return (self.lam[x][y], self.rho[y][x])
 
 
 @dataclass(frozen=True)
@@ -108,10 +105,7 @@ def to_solution(cs: CycleSet, check: bool = True) -> Solution:
 
 def from_solution(sol: Solution) -> CycleSet:
     """Recover the cycle set table x*y = lam_x^{-1}(y), checking that sol comes from it."""
-    cs = CycleSet(inverse_rows(sol.lam))
-    rep = check_cycle_set(cs)
-    if not rep.ok:
-        raise InvariantViolation(f"solution does not come from a cycle set: {rep}")
+    cs = assert_valid(CycleSet(inverse_rows(sol.lam)), "solution does not come from a cycle set: {}")
     if to_solution(cs, check=False).rho != sol.rho:
         raise InvariantViolation("rho is inconsistent with lam for an involutive solution")
     return cs

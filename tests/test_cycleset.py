@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from cyclesets import (
     CycleSet,
     InvariantViolation,
+    Solution,
     check_cycle_set,
     assert_valid,
     build_perm_brace,
     cyclic_cycle_set,
+    from_solution,
     irr_cycle_set,
     is_indecomposable,
     is_irretractable,
@@ -51,6 +53,17 @@ def test_assert_valid_raises():
         assert_valid(CycleSet(((1, 0), (0, 1))))
     cs = mpl2_cycle_set(3, (3,), (0, 1, 1), 0)
     assert assert_valid(cs) is cs
+
+
+def test_validity_raises_name_their_site_and_the_report():
+    bad = CycleSet(((1, 0), (0, 1)))
+    rep = check_cycle_set(bad)
+    with pytest.raises(InvariantViolation) as info:
+        assert_valid(bad)
+    assert str(info.value) == f"not a cycle set: {rep}"
+    with pytest.raises(InvariantViolation) as info:
+        from_solution(Solution(bad.table, bad.table))  # lam is its own row inverse
+    assert str(info.value) == f"solution does not come from a cycle set: {rep}"
 
 
 def test_table_shape_checked():

@@ -250,6 +250,7 @@ MALFORMED = [
     np.array([[0, 1], [1, 0]], dtype=float),
     np.array([[1, 0], [0, 1]], dtype=bool),
     np.array([[1, 0], [0, None]], dtype=object),
+    [[np.True_, 0], [0, 1]],  # a numpy bool among ints, which numpy also reads as an int
 ]
 
 
