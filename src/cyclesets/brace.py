@@ -99,8 +99,13 @@ class PermBrace:
         return dict(zip(keys, range(self.order)))
 
     def index_of(self, perm) -> int:
+        """The index of the element whose row is ``perm``; ValueError for
+        anything else, including rows of non-integers or of the wrong length."""
+        pts = _points(perm, self.n_points)
+        if pts.shape != (self.n_points,):
+            raise ValueError(f"a permutation has {self.n_points} points")
         try:
-            return self._index[np.ascontiguousarray(perm, dtype=self.elems.dtype).tobytes()]
+            return self._index[pts.astype(self.elems.dtype).tobytes()]
         except KeyError:
             raise ValueError("permutation is not in the group") from None
 
@@ -318,6 +323,26 @@ def build_perm_brace(cs: CycleSet) -> PermBrace:
     return PermBrace(*closure(inverse_rows(np.array(cs.table, dtype=np.int32))))
 
 
+def _last_arguments(brace: PermBrace, add: np.ndarray):
+    """verify_brace's set C of last arguments as an index array, or
+    slice(None) for every element (also when zero and the generators are)."""
+    n, seq = brace.order, np.concatenate(brace.levels)
+    C = _distinct(np.append(brace.gidx, brace.zero))
+    if C.size >= n or seq.size != n or seq[0] != brace.zero or C[0] < 0 or C[-1] >= n:
+        return slice(None)
+    pos, j = np.empty(n, dtype=np.int64), seq[1:]
+    pos[seq] = np.arange(n)
+    pe, g = brace.parent_elem[j], brace.gidx[brace.parent_point[j]]
+    # zero is the identity column, and each child is its parent plus a generator in add
+    spans = (
+        (add[:, brace.zero] == np.arange(n)).all()
+        and (pos[seq] == np.arange(n)).all()
+        and (pos[pe] < pos[j]).all()
+        and (add[pe, g] == j).all()
+    )
+    return C if spans else slice(None)
+
+
 def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
     """Spot-check the brace axioms on 300 sampled triples; exhaustive when the order is small.
 
@@ -326,6 +351,27 @@ def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
     compatibility a o (b + c) = a o b - a + a o c, and, since o is folded
     from + and lambda, that it is the composition of the rows.  Raises
     InvariantViolation on any failure.
+
+    The exhaustive path (order <= 96) runs the four order^3 axioms with
+    their last argument c over a set C (``_last_arguments``): zero and the
+    distinct generators g_x when two O(order) conditions hold on the add
+    table: zero is its identity column, and the BFS tree spans in it (the
+    levels list every element once, zero first, each parent before its
+    child, and add[parent_elem[j], g_{parent_point[j]}] == j); every element
+    otherwise.  With C the generators, the verdict is that of
+    the check over every c:
+      1. Associativity: the c with (x + y) + c = x + (y + c) for all x, y
+         are closed under + (Light's test), and the tree reaches every
+         element from zero by adding generators.
+      2. Once (G, +) is an abelian group with identity zero, c -> a o c - a
+         and c -> lambda_a(c) are additive exactly when distributivity and
+         lambda additivity hold for every b, and the c where they do are
+         again closed under +.
+      3. Then c -> lambda_{a o b}(c) and c -> lambda_a(lambda_b(c)) are both
+         additive, so they agree on G once they agree on the generators.
+    Each axiom runs only after the earlier ones passed, so each step's
+    premises hold, and the first failing axiom is the one the check over
+    every c would report.
     """
     e, n = brace.elems, brace.order
     if n <= 96:
@@ -333,17 +379,19 @@ def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
         add, circ, lam = (t().astype(np.int16) for t in (brace.add_table, brace.circ_table, brace.lam_table))
         if not (add == add.T).all():
             raise InvariantViolation("addition is not commutative")
-        if not (add[add] == add[:, add]).all():
+        C = _last_arguments(brace, add)
+        add_c = add[:, C]  # add_c[b, k] = b + C[k]; the grids below are (a, b, k)
+        if not (add_c[add] == add[:, add_c]).all():
             raise InvariantViolation("addition is not associative")
         neg = brace.neg_many(np.arange(n))
         if not (add[np.arange(n), neg] == brace.zero).all():
             raise InvariantViolation("negation failed")
-        rhs = add[add[circ[:, :, None], neg[:, None, None]], circ[:, None, :]]  # a o b - a + a o c
-        if not (circ[:, add] == rhs).all():  # a o (b + c) on the left
+        rhs = add[add[circ[:, :, None], neg[:, None, None]], circ[:, None, C]]  # a o b - a + a o c
+        if not (circ[:, add_c] == rhs).all():  # a o (b + c) on the left
             raise InvariantViolation("o is not distributive over + in the brace sense")
-        if not (lam[:, add] == add[lam[:, :, None], lam[:, None, :]]).all():
+        if not (lam[:, add_c] == add[lam[:, :, None], lam[:, None, C]]).all():
             raise InvariantViolation("lambda_a is not additive")
-        if not (lam[circ] == lam[:, lam]).all():
+        if not (lam[:, C][circ] == lam[:, lam[:, C]]).all():
             raise InvariantViolation("lambda is not multiplicative in the subscript")
         if not (e[circ] == e[:, e]).all():
             raise InvariantViolation("o is not the composition of the permutations")

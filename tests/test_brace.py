@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cyclesets
 from cyclesets import (
+    CycleSet,
     InconsistentAddition,
     InvariantViolation,
     SizeTooLarge,
@@ -24,6 +26,7 @@ from cyclesets import (
     to_cycle_set,
     verify_brace,
 )
+from cyclesets.brace import _last_arguments
 from cyclesets.perms import inverse
 
 
@@ -160,6 +163,19 @@ def test_spans(brace8):
     assert brace8.circ_span([]) == (brace8.zero,)
     assert sigma0 in brace8.circ_span([sigma0])
     assert len(brace8.circ_span(range(8))) == 8
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0.7, 1.2, 2.9, 3.1], ["3", "0", "1", "2"], [3.0, 0.0, 1.0, 2.0], (True, 2, 3, False), [3, 0, 1], [3, 0, 1, 2, 0]],
+    ids=["float", "str", "whole_float", "bool", "short", "long"],
+)
+def test_index_of_refuses_what_is_not_a_row(perm):
+    # read as int32, these gave elements 0, 1, 1 and 3
+    br = build_perm_brace(to_cycle_set(enumerate_classes(2)[0]))
+    assert br.order == 4 and br.index_of([3, 0, 1, 2]) == 1 == br.index_of(br.elems[1])
+    with pytest.raises(ValueError):
+        br.index_of(perm)
 
 
 @pytest.mark.parametrize(
@@ -550,6 +566,100 @@ def test_sampled_verify_raises_the_reference_message(kind, seed):
     assert got == _reference_message(_reference_sampled, bad, kind, seed=seed)
 
 
+def _order_cubed_verify(br):
+    """verify_brace's exhaustive path as it was before c ran over zero and
+    the generators: every axiom on all order^3 triples, in the same order."""
+    e, n = br.elems, br.order
+    add, circ, lam = (t().astype(np.int16) for t in (br.add_table, br.circ_table, br.lam_table))
+    if not (add == add.T).all():
+        raise InvariantViolation("addition is not commutative")
+    if not (add[add] == add[:, add]).all():
+        raise InvariantViolation("addition is not associative")
+    neg = br.neg_many(np.arange(n))
+    if not (add[np.arange(n), neg] == br.zero).all():
+        raise InvariantViolation("negation failed")
+    rhs = add[add[circ[:, :, None], neg[:, None, None]], circ[:, None, :]]
+    if not (circ[:, add] == rhs).all():
+        raise InvariantViolation("o is not distributive over + in the brace sense")
+    if not (lam[:, add] == add[lam[:, :, None], lam[:, None, :]]).all():
+        raise InvariantViolation("lambda_a is not additive")
+    if not (lam[circ] == lam[:, lam]).all():
+        raise InvariantViolation("lambda is not multiplicative in the subscript")
+    if not (e[circ] == e[:, e]).all():
+        raise InvariantViolation("o is not the composition of the permutations")
+    return True
+
+
+def _verdict(check, br):
+    try:
+        return check(br)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def _seeded_corruptions(br, seed):
+    """One plus entry reassigned, two entries of one plus column swapped, one
+    elems row replaced by a random permutation of the points, and one gidx
+    entry reassigned.  No table reads gidx, so the last keeps every axiom
+    and breaks only the tree's certificate: c then runs over every element."""
+    rng = np.random.default_rng(seed)
+    n, m = br.order, br.n_points
+    (i, k), x = rng.choice(n, 2, replace=False), int(rng.integers(m))
+    reassigned, swapped, replaced, regen = (copy.copy(br) for _ in range(4))
+    reassigned.plus = br.plus.copy()
+    reassigned.plus[i, x] = (br.plus[i, x] + rng.integers(1, n)) % n
+    swapped.plus = br.plus.copy()
+    swapped.plus[[i, k], x] = br.plus[[k, i], x]
+    replaced.elems = br.elems.copy()
+    replaced.elems[i] = rng.permutation(m)
+    regen.gidx = br.gidx.copy()
+    regen.gidx[x] = (br.gidx[x] + rng.integers(1, n)) % n
+    return [reassigned, swapped, replaced, regen]
+
+
+def _corruptions(br):
+    if br.order == 1:  # every in-range table entry is already zero
+        return []
+    br.minus  # built here, so that a copy with a corrupted plus keeps it
+    bad = [b for seed in range(4) for b in _seeded_corruptions(br, seed)]
+    for kind in _KINDS:
+        try:
+            bad.append(_corrupt(br, kind))
+        except (IndexError, StopIteration):  # too few levels or one generator
+            pass
+    return bad
+
+
+_DIFFERENTIAL = [*_small_cycle_sets(), CycleSet([[0]])]
+
+
+def test_verify_agrees_with_the_order_cubed_check():
+    """Running c over zero and the generators gives the verdict and first
+    failing message of the check over every c, on every brace at p <= 3 and
+    on corrupted copies; the cases reach both choices of c."""
+    took = []
+    for cs in _DIFFERENTIAL:
+        br = build_perm_brace(cs)
+        assert verify_brace(br) and _order_cubed_verify(br)
+        for bad in [br, *_corruptions(br)]:
+            assert _verdict(verify_brace, bad) == _verdict(_order_cubed_verify, bad), cs
+            add = bad.add_table().astype(np.int16)
+            if (add == add.T).all():  # verify_brace reads c only past commutativity
+                took.append(isinstance(_last_arguments(bad, add), slice))
+    assert took.count(False) > 200 and took.count(True) > 20
+
+
+def test_verify_memory_at_order_81(brace81):
+    """With c over every element, the order^3 grids peaked at 3.59 MB here."""
+    tracemalloc.start()
+    try:
+        assert verify_brace(brace81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 1.5
+
+
 @pytest.mark.parametrize(
     "cs", [mpl2_cycle_set(3, (3,), (0, 1, 1), (1,)), mpl2_cycle_set(5, (5,), (0, 0, 0, 0, 1), (0,))]
 )
@@ -581,10 +691,11 @@ def test_subsets_and_restrict_leave_numpy_ma_unimported():
     code = textwrap.dedent(
         """
         import sys
-        from cyclesets import build_perm_brace, irr_cycle_set, mpl2_cycle_set, restrict
+        from cyclesets import build_perm_brace, irr_cycle_set, mpl2_cycle_set, restrict, verify_brace
         restrict(mpl2_cycle_set(2, (2,), (0, 1), 0), [1, 0, 3, 2])
         br = build_perm_brace(irr_cycle_set(3, (1, 2, 2), 1))
         br.socle(), br.fix(), br.circ_center(), br.circ_span([1]), br.classify_subset([0, 1])
+        assert br.order == 81 and verify_brace(br)
         print("numpy.ma" in sys.modules)
         """
     )
