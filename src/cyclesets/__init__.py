@@ -3,7 +3,7 @@
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    BoundExceeded, CapExceeded, ConstantPhi, InconsistentAddition, InducedTableIllDefined, InvariantViolation,
+    BoundExceeded, CapExceeded, ConstantPhi, InducedTableIllDefined, InvariantViolation,
     NoMatch, NotAnAutomorphism, NotIndecomposable, NotSizePSquared, NotTransitive, RowsNotBijective, SizeTooLarge,
 )
 from .perms import Perm, block_systems, closure, cycle_type, identity, inverse, is_perm, is_transitive, orbits

@@ -12,11 +12,13 @@ G is closed by ``perms.closure``; element i is row i of its result, and
 element 0 (the identity) is the additive zero.  The table kept is
 ``plus[i, x] = i + g_x``, read off the closure's products, with its
 column-wise inverse ``minus[i, x] = i - g_x`` built on the first negation.
-A breadth-first search over ``plus`` gives every element a generator word,
-and every operation folds acc = table[acc, z] over a word's letters z:
-i + j adds j's letters g_z to i, -j subtracts them from zero, lambda_i(j)
-adds the twisted letters g_{i(z)} to zero and i o j = i + lambda_i(j) adds
-them to i.  No fold looks up a row, so ``verify_brace`` checks o against
+The closure numbers the elements breadth-first, so its levels are index
+ranges, and each j != 0 takes as parent the least row of ``plus`` holding
+it, one level up; this spanning tree gives every element a generator word.
+Every operation folds acc = table[acc, z] over a word's letters z: i + j
+adds j's letters g_z to i, -j subtracts them from zero, lambda_i(j) adds
+the twisted letters g_{i(z)} to zero and i o j = i + lambda_i(j) adds them
+to i.  No fold looks up a row, so ``verify_brace`` checks o against
 the composition of the rows.
 """
 
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .cycleset import CycleSet, _distinct, _points, assert_valid
-from .errors import InconsistentAddition, InvariantViolation, SizeTooLarge
+from .errors import InvariantViolation, SizeTooLarge
 from .perms import closure, inverse_rows
 
 _TABLE_MAX = 512  # the largest group order whose (order, order) tables are built
@@ -58,23 +60,19 @@ class PermBrace:
         # plus[i, x] = i + g_x = i o g_{i^{-1}(x)}
         self.plus = np.take_along_axis(mul, self.inv_elems, 1).astype(np.int64)
         self.zero = 0
-        # breadth-first search over plus from zero: j = parent_elem[j] + g_{parent_point[j]}
-        self.parent_elem, self.parent_point = np.full((2, len(elems)), -1, dtype=np.int64)
-        visited = np.arange(len(elems)) == self.zero
-        self.levels = []
-        level = np.array([self.zero], dtype=np.int64)
-        while level.size:
-            self.levels.append(level)
-            dst = self.plus[level].ravel()
-            fresh = np.flatnonzero(~visited[dst])
-            # keep the first discovery of each element in this batch
-            new, first = np.unique(dst[fresh], return_index=True)
-            k, self.parent_point[new] = np.divmod(fresh[first], self.n_points)
-            self.parent_elem[new] = level[k]
-            visited[new] = True
-            level = new
-        if not visited.all():
-            raise InconsistentAddition("additive generators do not span the permutation group")
+        # j = parent_elem[j] + g_{parent_point[j]} at j's first place in plus, read
+        # row by row.  Row f of plus permutes the columns of mul[f], so that row is
+        # the least one holding j: in closure's breadth-first numbering, j's parent
+        # one level up.  So the levels are index ranges and parent_elem[j] < j.
+        first = np.full(len(elems), self.plus.size)
+        np.minimum.at(first, self.plus.ravel(), np.arange(self.plus.size))
+        self.parent_elem, self.parent_point = np.divmod(first, self.n_points)
+        self.parent_elem[self.zero] = self.parent_point[self.zero] = -1
+        # level k + 1 ends after zero and the elements whose parents lie in levels 0..k
+        ends, sorted_parents = [1], np.sort(self.parent_elem)
+        while ends[-1] < len(elems):
+            ends.append(int(np.searchsorted(sorted_parents, ends[-1])))
+        self.levels = [slice(a, b) for a, b in zip([0, *ends], ends)]
 
     @cached_property
     def minus(self) -> np.ndarray:
@@ -165,7 +163,7 @@ class PermBrace:
         tuple of letters in _fold_words' order, built on the first scalar call."""
         pe, pp = self.parent_elem.tolist(), self.parent_point.tolist()
         words = [()] * self.order
-        for j in np.concatenate(self.levels)[1:].tolist():  # parents come first
+        for j in range(1, self.order):  # parents come first
             words[j] = (pp[j], *words[pe[j]])
         flat = lambda a: array("q", a.astype(np.int64).tobytes())
         return flat(self.plus), flat(self.elems), words
@@ -326,20 +324,13 @@ def build_perm_brace(cs: CycleSet) -> PermBrace:
 def _last_arguments(brace: PermBrace, add: np.ndarray):
     """verify_brace's set C of last arguments as an index array, or
     slice(None) for every element (also when zero and the generators are)."""
-    n, seq = brace.order, np.concatenate(brace.levels)
+    n, j = brace.order, np.arange(1, brace.order)
     C = _distinct(np.append(brace.gidx, brace.zero))
-    if C.size >= n or seq.size != n or seq[0] != brace.zero or C[0] < 0 or C[-1] >= n:
+    if C.size >= n or C[0] < 0 or C[-1] >= n:
         return slice(None)
-    pos, j = np.empty(n, dtype=np.int64), seq[1:]
-    pos[seq] = np.arange(n)
     pe, g = brace.parent_elem[j], brace.gidx[brace.parent_point[j]]
-    # zero is the identity column, and each child is its parent plus a generator in add
-    spans = (
-        (add[:, brace.zero] == np.arange(n)).all()
-        and (pos[seq] == np.arange(n)).all()
-        and (pos[pe] < pos[j]).all()
-        and (add[pe, g] == j).all()
-    )
+    # zero is the identity column, and each child is an earlier parent plus a generator in add
+    spans = (add[:, brace.zero] == np.arange(n)).all() and ((0 <= pe) & (pe < j)).all() and (add[pe, g] == j).all()
     return C if spans else slice(None)
 
 
@@ -355,11 +346,11 @@ def verify_brace(brace: PermBrace, seed: int = 0) -> bool:
     The exhaustive path (order <= 96) runs the four order^3 axioms with
     their last argument c over a set C (``_last_arguments``): zero and the
     distinct generators g_x when two O(order) conditions hold on the add
-    table: zero is its identity column, and the BFS tree spans in it (the
-    levels list every element once, zero first, each parent before its
-    child, and add[parent_elem[j], g_{parent_point[j]}] == j); every element
-    otherwise.  With C the generators, the verdict is that of
-    the check over every c:
+    table: zero is its identity column, and the BFS tree spans in it (for
+    every j != zero, 0 <= parent_elem[j] < j and
+    add[parent_elem[j], g_{parent_point[j]}] == j, so induction on the
+    index reaches every element from zero); every element otherwise.  With
+    C the generators, the verdict is that of the check over every c:
       1. Associativity: the c with (x + y) + c = x + (y + c) for all x, y
          are closed under + (Light's test), and the tree reaches every
          element from zero by adding generators.

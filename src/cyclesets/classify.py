@@ -38,12 +38,19 @@ from .perms import Perm, _seed_systems, cycle_type
 # -- the twist action on one defect map ---------------------------------------
 
 
+def _defect_map(p: int, phi):
+    """phi itself; ValueError unless it has one value per residue mod p."""
+    if len(phi) != p:
+        raise ValueError(f"a defect map mod {p} has {p} values, not {len(phi)}")
+    return phi
+
+
 def canonical_phi(p: int, phi) -> tuple[int, ...]:
-    return _least_image(phi, p, _twist)[0]
+    return _least_image(_defect_map(p, phi), p, _twist)[0]
 
 
 def phi_stabilizer(p: int, phi) -> list[int]:
-    return (np.flatnonzero(_stabilisers(np.array([phi]) % p, p, _twist)[0]) + 1).tolist()
+    return (np.flatnonzero(_stabilisers(np.array([_defect_map(p, phi)]) % p, p, _twist)[0]) + 1).tolist()
 
 
 # -- colour refinement ---------------------------------------------------------

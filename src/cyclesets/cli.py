@@ -20,7 +20,7 @@ from dataclasses import fields
 from .brace import build_perm_brace, verify_brace
 from .classify import automorphisms, classify_size_p2, enumerate_classes, iso_cycle_sets
 from .counting import count_formula, count_has_more_digits, is_prime
-from .cycleset import CycleSet, check_cycle_set, multipermutation_level, retraction
+from .cycleset import CycleSet, assert_valid, check_cycle_set, multipermutation_level, retraction
 from .families import cable, deform, params_from_dict, params_to_dict, to_cycle_set
 from .jsonio import (
     brace_to_dict, count_report_to_dict, cycle_set_to_dict, dump_line, load_document, solution_to_dict
@@ -173,7 +173,7 @@ def cmd_aut(args, parser) -> None:
 
 
 def cmd_retract(args, parser) -> None:
-    cs = _cycle_set_of(load_document(args.infile))
+    cs = assert_valid(_cycle_set_of(load_document(args.infile)))
     ret, proj = retraction(cs)
     print(f"projection: {list(proj)}", file=sys.stderr)
     print(f"multipermutation level: {multipermutation_level(cs)}", file=sys.stderr)

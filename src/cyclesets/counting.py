@@ -88,7 +88,9 @@ def psi(n: int) -> int:
 
 
 def two_adic_split(m: int) -> tuple[int, int]:
-    """m = 2**k * l with l odd; returns (k, l)."""
+    """m = 2**k * l with l odd; returns (k, l).  ValueError for m = 0, which has no such split."""
+    if m == 0:
+        raise ValueError("0 has no 2-adic split")
     k = 0
     while m % 2 == 0:
         m //= 2

@@ -30,10 +30,6 @@ class InducedTableIllDefined(ValueError):
         self.witness = witness
 
 
-class InconsistentAddition(ValueError):
-    """The additive structure on the permutation group failed to close."""
-
-
 class ConstantPhi(ValueError):
     """The defect map of a family member must be non-constant."""
 

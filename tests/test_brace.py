@@ -11,7 +11,6 @@ import pytest
 import cyclesets
 from cyclesets import (
     CycleSet,
-    InconsistentAddition,
     InvariantViolation,
     SizeTooLarge,
     block_systems,
@@ -296,7 +295,7 @@ def test_brace_builds_no_row_index():
     words through plus: only index_of builds the row index, on its first call."""
     for cs in _small_cycle_sets():
         br = build_perm_brace(cs)
-        assert br.order == len(br.elems) and br.levels[0].tolist() == [br.zero]
+        assert br.order == len(br.elems) and br.levels[0] == slice(br.zero, 1)
         br.socle(), br.fix(), br.circ_center()
         br.block_stabilizer(block_systems(sigma_gens(cs), cs.n)[0])
         assert br.circ_span(br.gidx[:2].tolist())[0] == br.zero
@@ -368,6 +367,38 @@ def _neg_ref(br, i):
 
 def _small_cycle_sets():
     return [to_cycle_set(q) for p in (2, 3) for q in enumerate_classes(p)]
+
+
+def _bfs_reference(br):
+    """The spanning tree by a breadth-first search over plus from zero, level
+    by level, each element hung from its first discovery: (parent_elem,
+    parent_point, levels as index arrays)."""
+    parent_elem, parent_point = np.full((2, br.order), -1, dtype=np.int64)
+    visited = np.arange(br.order) == br.zero
+    levels, level = [], np.array([br.zero], dtype=np.int64)
+    while level.size:
+        levels.append(level)
+        dst = br.plus[level].ravel()
+        fresh = np.flatnonzero(~visited[dst])
+        new, first = np.unique(dst[fresh], return_index=True)
+        k, parent_point[new] = np.divmod(fresh[first], br.n_points)
+        parent_elem[new] = level[k]
+        visited[new] = True
+        level = new
+    assert visited.all()
+    return parent_elem, parent_point, levels
+
+
+def test_tree_is_the_breadth_first_search_over_plus():
+    """Read off the closure's numbering, the tree is the one a second
+    breadth-first search over plus builds, and its levels are index ranges."""
+    mpl2_5 = mpl2_cycle_set(5, (5,), (0, 0, 0, 0, 1), (0,))
+    for cs in [*_small_cycle_sets(), CycleSet([[0]]), *(irr_cycle_set(5, phi, 1) for phi in _P5_PHIS), mpl2_5]:
+        br = build_perm_brace(cs)
+        parent_elem, parent_point, levels = _bfs_reference(br)
+        assert (br.parent_elem == parent_elem).all() and (br.parent_point == parent_point).all()
+        assert [list(range(br.order)[s]) for s in br.levels] == [level.tolist() for level in levels]
+    assert br.order == 3125
 
 
 @pytest.mark.parametrize("cs", _small_cycle_sets() + [irr_cycle_set(5, _P5_PHIS[0], 1)])
@@ -473,10 +504,9 @@ def _reference_exhaustive(br):
     lam = [[None] * n for _ in range(n)]
     for i in range(n):
         add[i][br.zero], lam[i][br.zero] = i, br.zero
-        for level in br.levels[1:]:
-            for j in level.tolist():
-                add[i][j] = _plus_ref(br, add[i][pe[j]], int(pp[j]))
-                lam[i][j] = _plus_ref(br, lam[i][pe[j]], int(br.elems[i, pp[j]]))
+        for j in range(1, n):  # parents come first
+            add[i][j] = _plus_ref(br, add[i][pe[j]], int(pp[j]))
+            lam[i][j] = _plus_ref(br, lam[i][pe[j]], int(br.elems[i, pp[j]]))
     circ = [[_circ_ref(br, i, j) for j in range(n)] for i in range(n)]
     neg = [_neg_ref(br, i) for i in range(n)]
     R = range(n)
@@ -516,13 +546,13 @@ def _corrupt(br, kind):
         return bad
     if kind == "parent_elem":
         # hang one element of level 2 under another element of level 1
-        j = int(br.levels[2][0])
+        j = br.levels[2].start
         bad.parent_elem = br.parent_elem.copy()
-        bad.parent_elem[j] = next(int(e) for e in br.levels[1] if e != br.parent_elem[j])
+        bad.parent_elem[j] = next(e for e in range(br.order)[br.levels[1]] if e != br.parent_elem[j])
         return bad
     # re-point one BFS edge at a point with another generator
     depth = 1 if kind == "parent_point_top" else len(br.levels) - 1
-    j = int(br.levels[depth][0])
+    j = br.levels[depth].start
     z = int(br.parent_point[j])
     bad.parent_point = br.parent_point.copy()
     bad.parent_point[j] = next(y for y in range(br.n_points) if br.gidx[y] != br.gidx[z])

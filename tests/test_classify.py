@@ -125,6 +125,13 @@ def test_phi_stabilizer():
     assert phi_stabilizer(5, (0, 1, 4, 4, 1)) == [1]
 
 
+@pytest.mark.parametrize("phi", [(0, 1), (0, 1, 1, 1), ()])
+def test_defect_maps_of_the_wrong_length_are_refused(phi):
+    for check in (canonical_phi, phi_stabilizer):
+        with pytest.raises(ValueError, match="a defect map mod 3 has 3 values"):
+            check(3, phi)
+
+
 def test_joint_scaling_of_level_two_parameters():
     def least(phi, s):
         return counting_module._least_image([*phi, s], 3, counting_module._scale)[0]

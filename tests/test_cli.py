@@ -193,6 +193,15 @@ def test_retract(tmp_path, capsys):
     assert "projection: [0, 0, 1, 1]" in err
 
 
+def test_retract_refuses_a_table_that_is_not_a_cycle_set(tmp_path, capsys):
+    path, out_path = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text('{"kind": "cycle_set", "n": 2, "table": [[0, 0], [1, 1]]}\n')
+    code, out, err = run(capsys, "retract", "--in", str(path), "--out", str(out_path))
+    _assert_one_line_error(code, out, err)
+    assert err.startswith("error: not a cycle set: ")
+    assert not out_path.exists()
+
+
 def test_cable_identity(tmp_path, capsys):
     cs = irr_cycle_set(2, (0, 1), 1)
     path = write_cycle_set(tmp_path, cs)

@@ -79,6 +79,9 @@ def test_two_adic_split():
     assert two_adic_split(4) == (2, 1)
     assert two_adic_split(6) == (1, 3)
     assert two_adic_split(12) == (2, 3)
+    assert two_adic_split(-4) == (2, -1)
+    with pytest.raises(ValueError):
+        two_adic_split(0)  # 0 = 2**k * 0 for every k: there is no split to return
 
 
 @given(st.integers(1, 10_000))

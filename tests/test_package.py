@@ -2,7 +2,7 @@ import cyclesets
 
 EXPORTS = {
     "BoundExceeded", "BraceSubset", "CapExceeded", "ConstantPhi", "CountReport", "CycleSet",
-    "CyclicParams", "FamilyParams", "InconsistentAddition", "InducedTableIllDefined",
+    "CyclicParams", "FamilyParams", "InducedTableIllDefined",
     "InvariantViolation", "IrrParams", "Mpl2Params", "NoMatch", "NotAnAutomorphism",
     "NotIndecomposable", "NotSizePSquared", "NotTransitive", "OracleResult", "Perm", "PermBrace",
     "RowsNotBijective", "SearchOptions", "SizeTooLarge", "Solution", "SolutionReport", "ValidityReport",

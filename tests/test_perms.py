@@ -107,6 +107,39 @@ def test_closure_drops_repeated_generators_in_first_appearance_order():
     assert (mul[:, [2, 4]] == distinct_mul[:, [1]]).all()
 
 
+def _assert_breadth_first(mul):
+    """Depths by a plain breadth-first search over mul from the identity do
+    not decrease along the index, and the least row of mul holding j != 0
+    lies one level above j: the contract the brace's spanning tree reads."""
+    rows = mul.tolist()
+    depth, queue = {0: 0}, [0]
+    for i in queue:
+        for j in rows[i]:
+            if j not in depth:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    depths = [depth[j] for j in range(len(rows))]
+    assert depths == sorted(depths)
+    least_row = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            least_row.setdefault(j, i)
+    assert all(depths[least_row[j]] == depths[j] - 1 for j in range(1, len(rows)))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [identity(3)],  # trivial
+        np.empty((0, 2), dtype=int),  # no generators
+        [(1, 0, 2, 3), (0, 1, 3, 2)],  # not transitive: orbits {0, 1} and {2, 3}
+        [inverse(row) for row in irr_cycle_set(3, (0, 1, 1), 1).table],  # an order-81 brace's generators
+    ],
+)
+def test_closure_numbers_breadth_first(gens):
+    _assert_breadth_first(closure(gens)[1])
+
+
 def test_closure_cap(monkeypatch):
     big = tuple(range(1, 30)) + (0,)
     monkeypatch.setattr(perms_module, "_CAP", 10)
@@ -252,6 +285,7 @@ def test_block_systems_of_relabeled_irretractable_member_at_23():
 def test_closure_contains_generators_and_products(a, b):
     group, mul = closure([a, b, a])
     _assert_right_action([a, b, a], group, mul)
+    _assert_breadth_first(mul)
     assert (mul[:, 0] == mul[:, 2]).all()
     elems = {tuple(row) for row in group.tolist()}
     assert len(elems) == len(group)
