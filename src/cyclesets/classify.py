@@ -28,7 +28,7 @@ import numpy as np
 
 from .cycleset import CycleSet, _is_morphism, assert_valid, is_indecomposable
 from .counting import _irr_orbit_minima, _least_image, _mpl2_orbit_minima, _scale, _stabilisers, _twist
-from .counting import count_formula, count_has_more_digits, is_prime
+from .counting import _integer, _prime, count_formula, count_has_more_digits, is_prime
 from .errors import (
     BoundExceeded, ConstantPhi, InvariantViolation, NoMatch, NotIndecomposable, NotSizePSquared, RowsNotBijective
 )
@@ -38,11 +38,11 @@ from .perms import Perm, _seed_systems, cycle_type
 # -- the twist action on one defect map ---------------------------------------
 
 
-def _defect_map(p: int, phi):
-    """phi itself; ValueError unless it has one value per residue mod p."""
-    if len(phi) != p:
+def _defect_map(p: int, phi) -> tuple[int, ...]:
+    """phi's values mod p; ValueError unless they are integers, one per residue mod p."""
+    if len(phi := tuple(map(_integer, phi))) != p:
         raise ValueError(f"a defect map mod {p} has {p} values, not {len(phi)}")
-    return phi
+    return tuple(v % p for v in phi)
 
 
 def canonical_phi(p: int, phi) -> tuple[int, ...]:
@@ -50,7 +50,7 @@ def canonical_phi(p: int, phi) -> tuple[int, ...]:
 
 
 def phi_stabilizer(p: int, phi) -> list[int]:
-    return (np.flatnonzero(_stabilisers(np.array([_defect_map(p, phi)]) % p, p, _twist)[0]) + 1).tolist()
+    return (np.flatnonzero(_stabilisers(np.array([_defect_map(p, phi)]), p, _twist)[0]) + 1).tolist()
 
 
 # -- colour refinement ---------------------------------------------------------
@@ -199,15 +199,14 @@ def automorphisms(cs: CycleSet) -> list[Perm]:
 def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> list[FamilyParams]:
     """Canonical parameters of every class of the requested family at size p*p.
 
-    The level-two classes are the orbit-minimum rows (f(1)..f(p-1), s), the
-    irretractable ones each orbit-minimum defect map with every twist in its
-    stabiliser.  Raises BoundExceeded when the class count is larger than
-    ``bound``.
+    The level-two classes are the orbit-minimum rows (f(1)..f(p-1), s), whose
+    values v, reduced mod p already, are the elements (v,); the irretractable
+    ones each orbit-minimum defect map with every twist in its stabiliser.
+    Raises BoundExceeded when the class count is larger than ``bound``.
     """
-    if count_has_more_digits(p, len(str(bound)), family):
+    if count_has_more_digits(_integer(p), len(str(bound)), family):
         raise BoundExceeded(f"more than {bound} classes at p = {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _prime(p)
     if family not in ("all", "cyclic", "mpl2", "irr"):
         raise ValueError(f"unknown family: {family!r}")
     field = {"all": "total", "mpl2": "n_mpl2", "irr": "n_irr"}.get(family)
@@ -219,7 +218,7 @@ def enumerate_classes(p: int, family: str = "all", bound: int = 1_000_000) -> li
     if family in ("all", "cyclic"):
         out.append(CyclicParams(p))
     if family in ("all", "mpl2"):
-        out.extend(mpl2_params(p, (p,), (0, *row[: p - 1]), row[p - 1]) for row in _mpl2_orbit_minima(p).tolist())
+        out.extend(Mpl2Params(p, (p,), ((0,), *zip(row[:-1])), (row[-1],)) for row in _mpl2_orbit_minima(p).tolist())
     if family in ("all", "irr"):
         kept = _irr_orbit_minima(p)
         phis = list(map(tuple, kept.tolist()))
@@ -294,13 +293,12 @@ def _irr_read_off(t: np.ndarray, p: int) -> tuple[IrrParams, np.ndarray]:
     member, and the coordinates with it.
     """
     n = p * p
-    system = next((s for s in _seed_systems(t, n) if len(s) == p), None)
-    if system is None:
+    roots = next((r for r in _seed_systems(t, n) if r.count(0) == p), None)
+    if roots is None:
         raise NoMatch("the row group has no system of p blocks")
-    blk = np.empty(n, dtype=np.intp)
-    for i, block in enumerate(system):
-        blk[list(block)] = i
-    act = blk[t[:, [block[0] for block in system]]]  # act[u, i]: the block row u sends block i to
+    reps = np.flatnonzero(np.equal(roots, np.arange(n)))  # each block's least point, block i holding reps[i]
+    blk = reps.searchsorted(roots)
+    act = blk[t[:, reps]]  # act[u, i]: the block row u sends block i to
     ratios = act[:, np.argsort(act[0])]  # A_u A_0^-1
     tau = ratios[(ratios != np.arange(p)).any(axis=1).argmax()]  # the identity if no ratio moves a block
     order = [0]

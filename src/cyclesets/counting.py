@@ -13,6 +13,7 @@ classifier takes one row's least image and its unit from the same actions.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -24,10 +25,21 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13
 
 
+def _integer(n) -> int:
+    """n as a Python int; ValueError unless it is a Python or numpy integer:
+    a float is not truncated, and a bool or a string is not read as one."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"{n!r} is not an integer")
+
+
 def is_prime(n: int) -> bool:
     """Trial division by the primes to 41, then a strong-probable-prime test
     to those 13 bases, which no composite below 3.3e24 passes."""
-    if n < 2:
+    if (n := _integer(n)) < 2:
         return False
     for q in _BASES:
         if n % q == 0:
@@ -41,6 +53,13 @@ def is_prime(n: int) -> bool:
         if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
     return True
+
+
+def _prime(p) -> int:
+    """p as a Python int; ValueError unless it is a prime integer."""
+    if not is_prime(p := _integer(p)):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def check_fits(nbytes: int, what: str) -> None:
@@ -117,8 +136,7 @@ class CountReport:
 
 def count_formula(p: int) -> CountReport:
     """Closed-form class counts of indecomposable cycle sets of size p*p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _prime(p)
     n_mpl2, rem = divmod(p * (p ** (p - 1) - 1), p - 1)
     assert rem == 0
     if p == 2:
@@ -223,8 +241,7 @@ def count_irr_by_enumeration(p: int) -> tuple[int, int]:
     member alpha of the orbit's stabiliser); classes are counted as stabiliser
     sizes summed over orbit minima.  Returns (f(0) != 0 count, f(0) = 0 count).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _prime(p)
     kept = _irr_orbit_minima(p)
     stab, zero = _stabilisers(kept, p, _twist).sum(axis=1), kept[:, 0] == 0
     return int(stab[~zero].sum()), int(stab[zero].sum())
@@ -236,6 +253,5 @@ def count_mpl2_by_enumeration(p: int) -> int:
     Rows are (f(1)..f(p-1), s) with f(0) = 0 implicit and f not identically
     zero; alpha scales every coordinate.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _prime(p)
     return len(_mpl2_orbit_minima(p))

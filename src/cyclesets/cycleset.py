@@ -12,13 +12,15 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InducedTableIllDefined, InvariantViolation
-from .perms import Perm, _UnionFind, block_systems, is_perm, is_transitive
+from .errors import InducedTableIllDefined, InvariantViolation, NotTransitive
+from .perms import Perm, _blocks, _roots, _seed_systems, is_perm, is_transitive
 
 _Table = tuple[tuple[int, ...], ...]
 
-# Triples per chunk of the n^3 scans in check_cycle_set and check_solution.
-_CHUNK = 1 << 14
+# Triples evaluated per chunk of the n^3 scans: check_solution at n = 25 then
+# holds 0.45 MiB of temporaries.  At twice that, glibc trimmed them off the
+# heap top after each call, and the next call faulted ~90 pages back in.
+_CHUNK = 1 << 13
 
 
 def _has_bool(entries) -> bool:
@@ -107,19 +109,19 @@ class ValidityReport:
         return self.square_law_ok and self.rows_bijective_ok and self.diagonal_bijective_ok
 
 
-def _first_mismatch(n: int, mismatches) -> tuple[int, int, int] | None:
+def _first_mismatch(n: int, mismatches, halved: bool = False) -> tuple[int, int, int] | None:
     """Lexicographically first (x, y, z) at which an n^3 check fails.
 
     The flat pair indices x*n + y are cut into consecutive chunks of about
-    ``_CHUNK`` triples, each chunk covering every z.  ``mismatches`` is a
-    generator function: given the iterator of chunks, it yields for each one
-    the pairs it checked (a subset of the chunk, in order) and a boolean
-    array of shape (len(pairs), n) marking the failing z.  Being a generator,
-    it keeps one chunk's arrays alive while the next is computed, so the
-    allocator does not hand the chunk's memory back to the system and fault
-    it in again on every chunk.
+    ``_CHUNK`` triples (twice that if ``halved``: ``mismatches`` checks half
+    the pairs), each covering every z.  ``mismatches`` is a generator
+    function: given the iterator of chunks, it yields for each one the pairs
+    it checked (a subset of the chunk, in order) and a boolean array of shape
+    (len(pairs), n) marking the failing z.  Being a generator, it keeps one
+    chunk's arrays alive while the next is computed, so the allocator does
+    not return their memory and fault it in again on every chunk.
     """
-    step = max(1, _CHUNK // n)
+    step = max(1, (_CHUNK << halved) // n)
     chunks = (np.arange(s, min(s + step, n * n)) for s in range(0, n * n, step))
     for pairs, bad in mismatches(chunks):
         hit = np.flatnonzero(bad)
@@ -157,7 +159,7 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
             rhs = flat[(flat[y * n + x] * n)[:, None] + t[y]]
             yield pairs, lhs != rhs
 
-    c1_wit = _first_mismatch(n, mismatches)
+    c1_wit = _first_mismatch(n, mismatches, halved=True)
     return ValidityReport(c1_wit is None, c1_wit, c2_wit is None, c2_wit, c3_wit is None, c3_wit)
 
 
@@ -252,18 +254,6 @@ def restrict(cs: CycleSet, points) -> CycleSet:
     return CycleSet(table)
 
 
-def _join_partitions(a, b, n: int):
-    uf = _UnionFind(n)
-    for part in (a, b):
-        for block in part:
-            for x in block[1:]:
-                uf.union(block[0], x)
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(uf.find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(v)) for v in blocks.values()))
-
-
 def _induced_table(cs: CycleSet, cls) -> tuple[CycleSet, tuple[int, ...]]:
     """The table induced on the blocks, and each point's block index.
 
@@ -283,40 +273,36 @@ def _induced_table(cs: CycleSet, cls) -> tuple[CycleSet, tuple[int, ...]]:
     return CycleSet(induced), tuple(cls.tolist())
 
 
-def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]]:
-    """All proper nontrivial quotients: (partition, induced cycle set) pairs.
+def _principal_congruences(cs: CycleSet):
+    """The proper principal congruences Cg(0, s) of an indecomposable cycle set:
+    the seed systems of its rows x*(-) and columns (-)*x, which they respect."""
+    if not is_indecomposable(cs):
+        raise NotTransitive(f"group is not transitive on {cs.n} points")
+    t = np.array(cs.table, dtype=np.intp)
+    return _seed_systems(np.concatenate([t, t.T]), cs.n)
 
-    Candidate partitions are the block systems of the row group, closed under
-    joins; a partition yields a quotient exactly when the induced table is
-    well defined.  Requires an indecomposable input.
-    """
+
+def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]]:
+    """All proper nontrivial quotients, those by congruences: (partition,
+    induced cycle set) pairs, ordered by partition.  Requires an
+    indecomposable input, whose congruences are block systems of the
+    transitive row group: each is the join of the principal ones Cg(0, s)
+    over the s in its block of 0, so those, closed under joins, are all."""
     n = cs.n
-    if n <= 1:
-        return []
-    systems = set(block_systems(cs.table, n))
+    systems = set(_principal_congruences(cs))
     frontier = list(systems)
     while frontier:
-        s = frontier.pop()
-        for t in list(systems):
-            j = _join_partitions(s, t, n)
-            if 1 < len(j) < n and j not in systems:
+        a = frontier.pop()
+        for b in list(systems):
+            j = _roots((), n, chain(enumerate(a), enumerate(b)))
+            if j is not None and (j := tuple(j)) not in systems:
                 systems.add(j)
                 frontier.append(j)
-    out = []
-    for system in sorted(systems):
-        cls = np.empty(n, dtype=np.intp)
-        for i, block in enumerate(system):
-            cls[list(block)] = i
-        try:
-            induced, _ = _induced_table(cs, cls)
-        except InducedTableIllDefined:
-            continue
-        out.append((system, assert_valid(induced, "well-defined quotient is not a cycle set")))
-    return out
+    found = [(_blocks(r), _induced_table(cs, np.unique(r, return_inverse=True)[1])[0]) for r in systems]
+    return [(part, assert_valid(q, "quotient by a congruence is not a cycle set")) for part, q in sorted(found)]
 
 
 def is_simple(cs: CycleSet) -> bool:
-    """No proper nontrivial quotient (input must be indecomposable)."""
-    if cs.n <= 1:
-        return False
-    return not quotients(cs)
+    """No proper nontrivial quotient (input must be indecomposable): as every
+    congruence joins principal ones (see ``quotients``), no proper Cg(0, s)."""
+    return cs.n > 1 and next(_principal_congruences(cs), None) is None

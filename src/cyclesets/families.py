@@ -24,7 +24,7 @@ import numpy as np
 
 from .brace import build_perm_brace
 from .cycleset import CycleSet, _is_morphism, assert_valid
-from .counting import check_fits, is_prime
+from .counting import _integer, _prime, check_fits
 from .errors import ConstantPhi, InvariantViolation, NotAnAutomorphism
 from .perms import Perm, inverse_rows, is_perm
 from .solutions import Solution, check_solution, to_solution
@@ -57,23 +57,24 @@ FamilyParams = CyclicParams | Mpl2Params | IrrParams
 
 
 def mpl2_params(m: int, a_invariants, phi, s) -> Mpl2Params:
-    """Normalise scalar phi entries / s into rank-1 tuples."""
-    inv = tuple(int(d) for d in a_invariants)
+    """Normalise scalar phi entries / s into rank-1 tuples, integers reduced
+    mod the invariants; ValueError for a float, a bool or a string."""
+    inv = tuple(map(_integer, a_invariants))
     if not inv or min(inv) < 1:
         raise InvariantViolation(f"group invariants must be positive, got {list(inv)}")
 
     def as_elem(v):
-        if isinstance(v, int):
-            if v == 0:
+        if not hasattr(v, "__len__"):  # a scalar
+            if (v := _integer(v)) == 0:
                 return (0,) * len(inv)
             if len(inv) != 1:
                 raise ValueError("scalar element given for a group of rank > 1")
             return (v % inv[0],)
         if len(v) != len(inv):
             raise ValueError("element has wrong rank")
-        return tuple(int(x) % d for x, d in zip(v, inv))
+        return tuple(_integer(x) % d for x, d in zip(v, inv))
 
-    return Mpl2Params(int(m), inv, tuple(as_elem(v) for v in phi), as_elem(s))
+    return Mpl2Params(_integer(m), inv, tuple(as_elem(v) for v in phi), as_elem(s))
 
 
 # -- constructors -----------------------------------------------------------
@@ -115,9 +116,8 @@ def mpl2_cycle_set(m: int, a_invariants, phi, s) -> CycleSet:
 
 def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
     """(a,x)*(b,y) = (alpha*(b+x), alpha*(y+f(b-a))) on Z_p x Z_p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f = tuple(int(v) % p for v in phi)
+    p = _prime(p)
+    f = tuple(_integer(v) % p for v in phi)
     if len(f) != p:
         raise ValueError(f"defect map must list {p} values")
     if all(v == f[0] for v in f):
@@ -125,7 +125,7 @@ def irr_cycle_set(p: int, phi, alpha: int = 1) -> CycleSet:
     for a in range(p):
         if f[a] != f[(p - a) % p]:
             raise InvariantViolation(f"defect map must be even: f({a}) != f({p - a})")
-    alpha = int(alpha) % p
+    alpha = _integer(alpha) % p
     if alpha == 0:
         raise InvariantViolation("alpha must be a unit mod p")
     for a in range(p):
@@ -148,9 +148,7 @@ def _check_table_fits(n: int) -> None:
 def to_cycle_set(params: FamilyParams) -> CycleSet:
     if isinstance(params, CyclicParams):
         _check_table_fits(params.p * params.p)
-        if not is_prime(params.p):
-            raise ValueError(f"{params.p} is not prime")
-        return cyclic_cycle_set(params.p * params.p)
+        return cyclic_cycle_set(_prime(params.p) ** 2)
     if isinstance(params, Mpl2Params):
         _check_table_fits(params.m * prod(params.a_invariants))
         return mpl2_cycle_set(params.m, params.a_invariants, params.phi, params.s)
@@ -248,7 +246,7 @@ def cable(cs: CycleSet, k: int) -> CycleSet:
 
 def co_params(p: int, phi, alpha: int) -> tuple[tuple[int, ...], int]:
     """Parameters (f, t) of the co-simple presentation: f(i) = -phi(alpha*i), t = alpha^{-1}."""
-    f = tuple((-int(phi[(alpha * i) % p])) % p for i in range(p))
+    f = tuple((-_integer(phi[(alpha * i) % p])) % p for i in range(p))
     return f, pow(alpha, -1, p)
 
 
@@ -259,12 +257,11 @@ def co_simple_solution(p: int, f, t: int) -> Solution:
     S1 evenness f(i) = f(-i), S2 the scaling law f(t*i) = t*f(i) - (t-1)*f(0),
     S3 f non-constant.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f = tuple(int(v) % p for v in f)
+    p = _prime(p)
+    f = tuple(_integer(v) % p for v in f)
     if len(f) != p:
         raise ValueError(f"f must list {p} values")
-    t = int(t) % p
+    t = _integer(t) % p
     if t == 0:
         raise InvariantViolation("t must be a unit mod p")
     for i in range(p):

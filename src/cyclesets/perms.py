@@ -141,31 +141,38 @@ class _UnionFind:
 
     def find(self, x):
         while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+            self.parent[x] = x = self.parent[self.parent[x]]
         return x
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        if rb < ra:
+            ra, rb = rb, ra
         self.parent[rb] = ra
         return True
 
 
-def _seed_roots(rows, n: int, seed: int) -> list[int] | None:
-    """Each point's root in the finest <rows>-invariant partition joining 0
-    and ``seed`` (Atkinson's union-find), or None if that is one block."""
+def _roots(maps, n: int, pairs) -> list[int] | None:
+    """Each point's least block-mate in the finest partition of {0..n-1} that
+    joins ``pairs`` and whose blocks every map, permutation or not, sends into
+    blocks (Atkinson's closure; unions keep the lesser root), or None."""
     uf = _UnionFind(n)
-    uf.union(0, seed)
-    joined, queue = 1, [(0, seed)]
+    queue = [(a, b) for a, b in pairs if uf.union(a, b)]
+    joined = len(queue)
     while queue and joined < n - 1:
         a, b = queue.pop()
-        for g in rows:
+        for g in maps:
             if uf.union(g[a], g[b]):
                 joined += 1
                 queue.append((g[a], g[b]))
     return None if joined == n - 1 else [uf.find(x) for x in range(n)]
+
+
+def _blocks(roots) -> tuple[tuple[int, ...], ...]:
+    """The sorted blocks of the partition with these least block-mates."""
+    return tuple(tuple(x for x, r in enumerate(roots) if r == least) for least in dict.fromkeys(roots))
 
 
 def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -179,37 +186,32 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
     gens = np.array(gens, dtype=np.intp).reshape(-1, n).tolist()
     if not is_transitive(gens, n):
         raise NotTransitive(f"group is not transitive on {n} points")
-    return sorted(set(_seed_systems(gens, n)))
+    return sorted(map(_blocks, set(_seed_systems(gens, n))))
 
 
-def _seed_systems(gens, n: int):
-    """The systems of ``block_systems`` of a transitive group, as the seeds
-    s = 1, 2, ... find them, one at a time and possibly repeated.
-
-    The union-find runs over a few generators, starting with the first; each
-    partition found is checked against every generator in one array test,
-    and the first one that breaks it joins the union-find, which is redone.
-    Seeds inside a found block of prime size are skipped: it is their block.
-    """
-    t = np.array(gens, dtype=np.intp).reshape(-1, n)
-    gens = t.tolist()
-    rows = gens[:1]
+def _seed_systems(maps, n: int):
+    """The systems of ``block_systems``, as tuples of least block-mates, in the
+    order the seeds s = 1, 2, ... find them, possibly repeated.  The maps need
+    only have invariant partitions with equal blocks, as the rows and columns
+    of an indecomposable cycle set do.  The union-find runs over a few maps,
+    adding the first one that breaks a partition found and redoing the seed.
+    Seeds inside a found block of prime size are skipped: it is their block."""
+    t = np.array(maps, dtype=np.intp).reshape(-1, n)
+    maps = t.tolist()
+    used = maps[:1]
     skip = set()
     for seed in range(1, n):
         if seed in skip:
             continue
         block = range(n)
-        while (roots := _seed_roots(rows, n, seed)) is not None:
+        while (roots := _roots(used, n, [(0, seed)])) is not None:
             root = np.array(roots)
             moved = root[t]
             bad = moved != moved[:, root]  # root[g[x]] != root[g[root[x]]]
             if not bad.any():
-                blocks: dict[int, list[int]] = {}
-                for x, r in enumerate(roots):
-                    blocks.setdefault(r, []).append(x)
-                yield tuple(sorted(map(tuple, blocks.values())))
-                block = blocks[roots[0]]
+                yield tuple(roots)
+                block = np.flatnonzero(root == 0).tolist()
                 break
-            rows.append(gens[int(bad.argmax()) // n])
+            used.append(maps[int(bad.argmax()) // n])
         if is_prime(len(block)):
             skip.update(block)

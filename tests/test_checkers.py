@@ -1,5 +1,10 @@
 """The chunked n^3 checkers against plain triple loops, and their memory."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +23,7 @@ from cyclesets import (
     to_cycle_set,
     to_solution,
 )
+import cyclesets
 from cyclesets import cycleset
 
 _MEMBERS = [
@@ -169,6 +175,33 @@ def test_check_solution_memory_at_289_points(member_289):
 def test_check_cycle_set_memory_at_289_points(member_289):
     """An n^3-tensor check_cycle_set peaked at 393 MB here."""
     assert _traced_peak_mb(check_cycle_set, member_289[0]) < 16
+
+
+def test_check_solution_memory_at_25_points():
+    """At 0.76 MiB, glibc trimmed these temporaries off the heap top after
+    each call and the next call faulted them back in."""
+    assert _traced_peak_mb(check_solution, to_solution(_irr_member(5), check=False)) < 0.5
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+def test_check_solution_faults_no_pages_per_call_at_25_points():
+    """151 minor page faults per call in a fresh interpreter with 2^14-triple chunks."""
+    code = textwrap.dedent(
+        """
+        import resource
+        from cyclesets import check_solution, irr_cycle_set, to_solution
+        sol = to_solution(irr_cycle_set(5, (0, 1, 4, 4, 1)))
+        check_solution(sol)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            assert check_solution(sol).ok
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cyclesets.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert int(done.stdout) < 50
 
 
 @pytest.mark.slow

@@ -125,6 +125,20 @@ def test_phi_stabilizer():
     assert phi_stabilizer(5, (0, 1, 4, 4, 1)) == [1]
 
 
+@pytest.mark.parametrize("phi", [(0.5, 1.2, 1.9), ("0", "1", "1"), (0, True, True)], ids=["floats", "strings", "bools"])
+def test_defect_maps_that_are_not_integers_are_refused(phi):
+    # canonical_phi truncated (0.5, 1.2, 1.9) to (0, 1, 1); phi_stabilizer failed inside numpy on strings
+    for check in (canonical_phi, phi_stabilizer):
+        with pytest.raises(ValueError, match="integer"):
+            check(3, phi)
+
+
+def test_defect_maps_take_numpy_integers_and_reduce_them():
+    assert canonical_phi(3, np.array([3, 5, 5])) == canonical_phi(3, (0, 2, 2)) == (0, 1, 1)
+    assert phi_stabilizer(7, np.array(P7_PHI) + 7) == phi_stabilizer(7, P7_PHI)
+    assert canonical_phi(3, (3**70, 2, 2)) == (0, 1, 1)
+
+
 @pytest.mark.parametrize("phi", [(0, 1), (0, 1, 1, 1), ()])
 def test_defect_maps_of_the_wrong_length_are_refused(phi):
     for check in (canonical_phi, phi_stabilizer):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
     count_formula,
+    enumerate_classes,
     count_irr_by_enumeration,
     count_mpl2_by_enumeration,
     divisors,
@@ -114,6 +116,26 @@ def test_count_formula_frozen():
 def test_count_formula_needs_prime():
     with pytest.raises(ValueError):
         count_formula(6)
+
+
+@pytest.mark.parametrize(
+    "count", [count_formula, enumerate_classes, count_irr_by_enumeration, count_mpl2_by_enumeration, is_prime]
+)
+@pytest.mark.parametrize("p", [5.0, 3.0, "5"], ids=["five_float", "three_float", "string"])
+def test_a_prime_that_is_not_an_integer_is_refused(count, p):
+    # count_formula(5.0) answered n_mpl2 = 780.0 and is_prime(5.0) True
+    with pytest.raises(ValueError, match="is not an integer"):
+        count(p)
+
+
+def test_a_numpy_prime_is_read_as_a_python_int():
+    # p ** (p - 1) overflowed int64 at p = 23, failing the formula's own divisibility check
+    report = count_formula(np.int64(23))
+    assert report == count_formula(23)
+    assert type(report.p) is int and type(report.n_mpl2) is int
+    assert enumerate_classes(np.int64(3)) == enumerate_classes(3)
+    assert count_mpl2_by_enumeration(np.int64(3)) == count_mpl2_by_enumeration(3)
+    assert is_prime(np.int64(23))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,15 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
     CycleSet,
+    InducedTableIllDefined,
     InvariantViolation,
+    NotTransitive,
+    SearchOptions,
     Solution,
     check_cycle_set,
     assert_valid,
+    block_systems,
     build_perm_brace,
     cyclic_cycle_set,
+    enumerate_classes,
+    enumerate_cycle_sets,
     from_solution,
     irr_cycle_set,
     is_indecomposable,
@@ -23,8 +31,10 @@ from cyclesets import (
     retraction,
     sigma_gens,
     sub_cycle_set,
+    to_cycle_set,
 )
-from cyclesets.perms import inverse
+from cyclesets.cycleset import _induced_table
+from cyclesets.perms import _roots, inverse
 
 
 def test_cyclic_shift_table_is_valid():
@@ -182,6 +192,139 @@ def test_level_two_member_has_size_p_quotient():
     sizes = {q.n for _, q in quotients(cs)}
     assert 3 in sizes
     assert not is_simple(cs)
+
+
+def _join_partitions(a, b, n):
+    """The finest partition coarser than both a and b, as sorted blocks."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for part in (a, b):
+        for block in part:
+            for x in block[1:]:
+                parent[find(x)] = find(block[0])
+    blocks: dict = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(sorted(v)) for v in blocks.values()))
+
+
+def _quotients_reference(cs):
+    """Quotients as a filter: the block systems of the row group, closed under
+    joins, kept where the induced table is well defined."""
+    n = cs.n
+    if n <= 1:
+        return []
+    systems = set(block_systems(cs.table, n))
+    frontier = list(systems)
+    while frontier:
+        s = frontier.pop()
+        for t in list(systems):
+            j = _join_partitions(s, t, n)
+            if 1 < len(j) < n and j not in systems:
+                systems.add(j)
+                frontier.append(j)
+    out = []
+    for system in sorted(systems):
+        cls = np.empty(n, dtype=np.intp)
+        for i, block in enumerate(system):
+            cls[list(block)] = i
+        try:
+            induced, _ = _induced_table(cs, cls)
+        except InducedTableIllDefined:
+            continue
+        out.append((system, induced))
+    return out
+
+
+def _differential_inputs():
+    """Every class at p <= 3 and one relabelling of each, the cyclic tables to
+    n = 12, the oracle's indecomposable tables to n = 5, and the level-two
+    members over Z_2 x Z_2, Z_3 and Z_4 that the acceptance tests convert."""
+    rng = random.Random(20261020)
+    out = []
+    for q in enumerate_classes(2) + enumerate_classes(3):
+        cs = to_cycle_set(q)
+        out += [cs, relabel(cs, tuple(rng.sample(range(cs.n), cs.n)))]
+    out += [cyclic_cycle_set(n) for n in range(1, 13)]
+    for n in range(1, 6):
+        out += enumerate_cycle_sets(SearchOptions(n, indecomposable_only=True)).classes
+    out += [
+        mpl2_cycle_set(2, (3,), (0, 2), (1,)),
+        mpl2_cycle_set(2, (4,), (0, 3), (2,)),
+        mpl2_cycle_set(2, (2, 2), (0, (1, 0)), (0, 1)),
+        mpl2_cycle_set(3, (3,), (0, 1, 2), (1,)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("cs", _differential_inputs(), ids=lambda cs: f"n{cs.n}")
+def test_quotients_match_the_block_system_filter(cs):
+    want = _quotients_reference(cs)
+    assert [(part, q.table) for part, q in quotients(cs)] == [(part, q.table) for part, q in want]
+    assert is_simple(cs) == (cs.n > 1 and not want)
+
+
+def test_quotients_refuse_decomposable_input():
+    cs = assert_valid(CycleSet(((0, 1), (0, 1))))  # x*y = y: two fixed points
+    with pytest.raises(NotTransitive):
+        quotients(cs)
+    with pytest.raises(NotTransitive):
+        is_simple(cs)
+
+
+def _finest_invariant_partition(maps, n, pairs):
+    """Each point's least block-mate in the finest partition joining ``pairs``
+    that every map respects, merging g(x) and g(y) for every pair of
+    block-mates until nothing changes; None for one block."""
+    label = list(range(n))
+
+    def merge(a, b):
+        if label[a] == label[b]:
+            return False
+        old, new = max(label[a], label[b]), min(label[a], label[b])
+        label[:] = [new if v == old else v for v in label]
+        return True
+
+    for a, b in pairs:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for g in maps:
+            for x in range(n):
+                for y in range(n):
+                    if label[x] == label[y] and merge(g[x], g[y]):
+                        changed = True
+    return None if len(set(label)) == 1 else label
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_roots_match_brute_force_on_a_tables_columns(data):
+    """A table's columns y -> y*x are maps, seldom permutations."""
+    q = data.draw(st.sampled_from(enumerate_classes(2) + enumerate_classes(3)))
+    cs = to_cycle_set(q)
+    cs = relabel(cs, tuple(data.draw(st.permutations(range(cs.n)))))
+    n = cs.n
+    columns = np.array(cs.table).T.tolist()
+    maps = data.draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    assert _roots(maps, n, pairs) == _finest_invariant_partition(maps, n, pairs)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_roots_match_brute_force_on_arbitrary_maps(data):
+    n = data.draw(st.integers(1, 7))
+    point = st.integers(0, n - 1)
+    maps = data.draw(st.lists(st.lists(point, min_size=n, max_size=n), max_size=3))
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=3))
+    assert _roots(maps, n, pairs) == _finest_invariant_partition(maps, n, pairs)
 
 
 @st.composite

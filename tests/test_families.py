@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -282,3 +283,40 @@ def test_composite_cyclic_parameter_is_refused():
 def test_mpl2_invariants_are_checked_before_reducing(invariants):
     with pytest.raises(InvariantViolation, match="invariants must be positive"):
         mpl2_params(3, invariants, (0, 1, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: irr_cycle_set(3, ("0", "1", "1")),
+        lambda: irr_cycle_set(3, (0.5, 1.2, 1.9)),
+        lambda: irr_cycle_set(3, (0, True, True)),
+        lambda: irr_cycle_set(3, (0, 1, 1), 1.0),
+        lambda: co_simple_solution(3, (1, 0, 0), 1.5),
+        lambda: co_simple_solution(3, (1.0, 0, 0), 1),
+        lambda: mpl2_params(3, (3,), (0, 1.0, 1), 0),
+        lambda: mpl2_params(3, (3,), (0, 1, 1), "0"),
+        lambda: mpl2_params(3, (3,), (0, np.True_, 1), 0),
+        lambda: mpl2_params(2, (2, 2), (0, (1, 0.5)), (0, 1)),
+        lambda: mpl2_params(3.5, (3,), (0, 1, 1), 0),
+        lambda: co_params(3, (0, 1.5, 1.5), 1),
+    ],
+    ids=[
+        "irr_strings", "irr_floats", "irr_bools", "irr_float_alpha", "co_float_t", "co_float_f",
+        "mpl2_float", "mpl2_string_s", "mpl2_numpy_bool", "mpl2_float_digit", "mpl2_float_m", "co_params_floats",
+    ],
+)
+def test_family_parameters_that_are_not_integers_are_refused(build):
+    # int() would read "1" as 1 and truncate 1.9 to 1
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_family_parameters_take_numpy_integers_and_reduce_them():
+    assert mpl2_params(3, (3,), (0, np.int64(1), 1), 0) == mpl2_params(3, (3,), (0, 1, 1), 0)
+    assert mpl2_params(3, np.array([3]), np.array([0, 4, 7]), np.int64(3)) == mpl2_params(3, (3,), (0, 1, 1), 0)
+    want = irr_cycle_set(3, (0, 1, 1), 1).table
+    assert irr_cycle_set(np.int64(3), np.array([3, 4, 10]), np.int64(4)).table == want
+    assert irr_cycle_set(3, (3**70, 1, 1), 4).table == want
+    co = co_simple_solution(3, (1, 0, 0), 1)
+    assert co_simple_solution(3, np.array([4, 0, 3]), np.int64(4)) == co
