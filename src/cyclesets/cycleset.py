@@ -132,6 +132,29 @@ def _first_mismatch(n: int, mismatches, halved: bool = False) -> tuple[int, int,
     return None
 
 
+def _square_law_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (x, y, z) at which (x*y)*(x*z) != (y*x)*(y*z) in the n x n
+    intp table ``t``, whose rows need not be permutations; None if the law holds.
+
+    Swapping x and y swaps the two sides, so the first failing triple has
+    x < y and only those pairs are evaluated.  A product a*b is the gather
+    flat[a*n + b]; t[x] is the row.
+    """
+    n = len(t)
+    flat = t.ravel()
+
+    def mismatches(chunks):
+        for pairs in chunks:
+            x, y = np.divmod(pairs, n)
+            keep = x < y
+            pairs, x, y = pairs[keep], x[keep], y[keep]
+            lhs = flat[(flat[pairs] * n)[:, None] + t[x]]
+            rhs = flat[(flat[y * n + x] * n)[:, None] + t[y]]
+            yield pairs, lhs != rhs
+
+    return _first_mismatch(n, mismatches, halved=True)
+
+
 def check_cycle_set(cs: CycleSet) -> ValidityReport:
     """Check all three axioms, reporting a first witness for each failure."""
     n = cs.n
@@ -145,21 +168,7 @@ def check_cycle_set(cs: CycleSet) -> ValidityReport:
     repeats = np.flatnonzero(first[which] != np.arange(n))
     c3_wit = (int(first[which[repeats[0]]]), int(repeats[0])) if repeats.size else None
 
-    # square law (x*y)*(x*z) == (y*x)*(y*z).  Swapping x and y swaps the two
-    # sides, so the first failing triple has x < y and only those pairs are
-    # evaluated.  A product a*b is the gather flat[a*n + b]; t[x] is the row.
-    flat = t.ravel()
-
-    def mismatches(chunks):
-        for pairs in chunks:
-            x, y = np.divmod(pairs, n)
-            keep = x < y
-            pairs, x, y = pairs[keep], x[keep], y[keep]
-            lhs = flat[(flat[pairs] * n)[:, None] + t[x]]
-            rhs = flat[(flat[y * n + x] * n)[:, None] + t[y]]
-            yield pairs, lhs != rhs
-
-    c1_wit = _first_mismatch(n, mismatches, halved=True)
+    c1_wit = _square_law_witness(t)
     return ValidityReport(c1_wit is None, c1_wit, c2_wit is None, c2_wit, c3_wit is None, c3_wit)
 
 
@@ -279,7 +288,7 @@ def _principal_congruences(cs: CycleSet):
     if not is_indecomposable(cs):
         raise NotTransitive(f"group is not transitive on {cs.n} points")
     t = np.array(cs.table, dtype=np.intp)
-    return _seed_systems(np.concatenate([t, t.T]), cs.n)
+    return _seed_systems(t, cs.n, t.T)
 
 
 def quotients(cs: CycleSet) -> list[tuple[tuple[tuple[int, ...], ...], CycleSet]]:

@@ -189,29 +189,42 @@ def block_systems(gens, n: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(map(_blocks, set(_seed_systems(gens, n))))
 
 
-def _seed_systems(maps, n: int):
+def _seed_systems(gens, n: int, extra=()):
     """The systems of ``block_systems``, as tuples of least block-mates, in the
-    order the seeds s = 1, 2, ... find them, possibly repeated.  The maps need
-    only have invariant partitions with equal blocks, as the rows and columns
-    of an indecomposable cycle set do.  The union-find runs over a few maps,
-    adding the first one that breaks a partition found and redoing the seed.
-    Seeds inside a found block of prime size are skipped: it is their block."""
-    t = np.array(maps, dtype=np.intp).reshape(-1, n)
-    maps = t.tolist()
-    used = maps[:1]
+    order the seeds s = 1, 2, ... find them, possibly repeated.  With
+    ``extra`` maps, the partitions the seeds span under the gens and those
+    maps together: the gens must act transitively, and the extra maps need
+    not be permutations, as with the rows and columns of an indecomposable
+    cycle set.
+
+    The union-find runs over a few maps, adding the first one that breaks a
+    partition found and going on from it; it adds an extra map only once the
+    gens respect the partition.  The seeds in the block of 0 that a seed s
+    spans under the gens alone are skipped when that block has prime size:
+    a transitive group's blocks have equal sizes, so under the gens each of
+    them spans the same block, and it spans with the extra maps what s does.
+    """
+    gens = np.array(gens, dtype=np.intp).reshape(-1, n)
+    every = np.concatenate([gens, np.array(extra, dtype=np.intp).reshape(-1, n)])
+    maps, k = every.tolist(), len(gens)
+    used_gens, used_every = maps[:1], maps[:1]
     skip = set()
     for seed in range(1, n):
         if seed in skip:
             continue
-        block = range(n)
-        while (roots := _roots(used, n, [(0, seed)])) is not None:
+        used, pairs = used_gens, [(0, seed)]
+        while (roots := _roots(used, n, pairs)) is not None:
             root = np.array(roots)
-            moved = root[t]
+            moved = root[every]
             bad = moved != moved[:, root]  # root[g[x]] != root[g[root[x]]]
-            if not bad.any():
+            first = int(bad.argmax())
+            g = first // n if bad.flat[first] else len(maps)  # the first map that breaks it
+            if g >= k and used is used_gens:
+                if is_prime(roots.count(0)):
+                    skip.update(x for x, r in enumerate(roots) if r == 0)
+                used = used_every
+            if g == len(maps):
                 yield tuple(roots)
-                block = np.flatnonzero(root == 0).tolist()
                 break
-            used.append(maps[int(bad.argmax()) // n])
-        if is_prime(len(block)):
-            skip.update(block)
+            used.append(maps[g])
+            pairs = enumerate(roots)

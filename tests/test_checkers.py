@@ -9,7 +9,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cyclesets import (
     CycleSet,
@@ -141,6 +141,40 @@ def test_check_solution_matches_the_triple_loop(data):
     for chunk in _CHUNKS:
         with mock.patch.object(cycleset, "_CHUNK", chunk):
             report = check_solution(Solution(lam, rho))
+        assert report == expected, chunk
+        _int_witnesses(report)
+
+
+def _permutation_rows(data):
+    """Random permutation rows at n <= 6, or a family member at n <= 25 with
+    entries swapped inside a few drawn rows: rows stay permutations."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 6))
+        return tuple(tuple(data.draw(st.permutations(range(n)))) for _ in range(n))
+    rows = [list(row) for row in data.draw(st.sampled_from(_MEMBERS)).table]
+    n = len(rows)
+    for _ in range(data.draw(st.integers(0, 2))):
+        x, a, b = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[x][a], rows[x][b] = rows[x][b], rows[x][a]
+    return tuple(map(tuple, rows))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_check_solution_matches_the_triple_loop_where_the_square_law_decides(data):
+    """lam = inverse_rows(T) and rho_y(x) = T[lam_x(y)][x] for permutation
+    rows T: an involutive solution with every lam_x a permutation, whose
+    braid relation check_solution settles by T's square law."""
+    table = _permutation_rows(data)
+    sol = to_solution(CycleSet(table), check=False)
+    expected = reference_solution_report(sol.lam, sol.rho)
+    assert expected.involutive_ok
+    assert expected.nondegenerate_ok or expected.nondegenerate_witness[0] == "rho"  # no lam_x fails
+    assert expected.braiding_ok == check_cycle_set(CycleSet(table)).square_law_ok
+    event(f"square law holds: {expected.braiding_ok}")
+    for chunk in _CHUNKS:
+        with mock.patch.object(cycleset, "_CHUNK", chunk):
+            report = check_solution(sol)
         assert report == expected, chunk
         _int_witnesses(report)
 

@@ -243,13 +243,18 @@ def _quotients_reference(cs):
 
 def _differential_inputs():
     """Every class at p <= 3 and one relabelling of each, the cyclic tables to
-    n = 12, the oracle's indecomposable tables to n = 5, and the level-two
-    members over Z_2 x Z_2, Z_3 and Z_4 that the acceptance tests convert."""
+    n = 12, the oracle's indecomposable tables to n = 5, the level-two
+    members over Z_2 x Z_2, Z_3 and Z_4 that the acceptance tests convert,
+    and relabelled p = 5 members: every principal congruence of an
+    irretractable one is the whole set, and the seed loop skips seeds by
+    the blocks that the rows alone span."""
     rng = random.Random(20261020)
     out = []
     for q in enumerate_classes(2) + enumerate_classes(3):
         cs = to_cycle_set(q)
         out += [cs, relabel(cs, tuple(rng.sample(range(cs.n), cs.n)))]
+    for q in enumerate_classes(5, family="irr")[::10] + enumerate_classes(5, family="mpl2")[::300]:
+        out.append(relabel(to_cycle_set(q), tuple(rng.sample(range(25), 25))))
     out += [cyclic_cycle_set(n) for n in range(1, 13)]
     for n in range(1, 6):
         out += enumerate_cycle_sets(SearchOptions(n, indecomposable_only=True)).classes

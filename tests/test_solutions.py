@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,13 +9,18 @@ from cyclesets import (
     brute_iso,
     check_solution,
     classify_size_p2,
+    co_params,
+    co_simple_solution,
     cyclic_cycle_set,
     CyclicParams,
+    enumerate_classes,
     from_solution,
     irr_cycle_set,
     mpl2_cycle_set,
+    to_cycle_set,
     to_solution,
 )
+from cyclesets.solutions import _braid_witness
 
 
 def _r(sol, x, y):
@@ -82,6 +88,17 @@ def test_braiding_violation_detected():
     tampered = Solution(sol.lam, tuple(map(tuple, rho)))
     rep = check_solution(tampered)
     assert not rep.ok
+
+
+def test_braid_scan_proves_the_class_and_co_solutions():
+    """check_solution settles these by the square law, the kernel that
+    check_cycle_set runs too; the triple scan evaluates the braid relation
+    itself, independently of it."""
+    for p in (2, 3):
+        sols = [to_solution(to_cycle_set(q)) for q in enumerate_classes(p)]
+        sols += [co_simple_solution(q.p, *co_params(q.p, q.phi, q.alpha)) for q in enumerate_classes(p, family="irr")]
+        for sol in sols:
+            assert _braid_witness(np.array(sol.lam, dtype=np.intp), np.array(sol.rho, dtype=np.intp)) is None
 
 
 def test_solution_shape_checked():
