@@ -202,7 +202,7 @@ def cmd_oracle(args, parser) -> None:
 
 def cmd_brace(args, parser) -> None:
     brace = build_perm_brace(_cycle_set_of(load_document(args.infile)))
-    doc = brace_to_dict(brace)  # refuses an oversized brace before the costlier check
+    doc = brace_to_dict(brace)  # refuses an oversized brace; its order^2 tables cost more than the check
     verify_brace(brace)
     _write(args, doc)
 

@@ -13,7 +13,6 @@ from cyclesets import (
     Solution,
     check_cycle_set,
     assert_valid,
-    block_systems,
     build_perm_brace,
     cyclic_cycle_set,
     enumerate_classes,
@@ -214,12 +213,17 @@ def _join_partitions(a, b, n):
 
 
 def _quotients_reference(cs):
-    """Quotients as a filter: the block systems of the row group, closed under
-    joins, kept where the induced table is well defined."""
+    """Quotients as a filter: the principal congruences Cg(0, s), each the
+    finest partition joining 0 and s that the rows and the columns respect,
+    closed under joins, kept where the induced table is well defined.  It
+    shares no code with the library's seed loop."""
     n = cs.n
     if n <= 1:
         return []
-    systems = set(block_systems(cs.table, n))
+    maps = [*cs.table, *zip(*cs.table)]
+    labels = [_finest_invariant_partition(maps, n, [(0, s)]) for s in range(1, n)]
+    # each point joined with its least block-mate spells the partition
+    systems = {_join_partitions(list(enumerate(lab)), (), n) for lab in labels if lab is not None}
     frontier = list(systems)
     while frontier:
         s = frontier.pop()
